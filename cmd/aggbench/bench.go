@@ -61,11 +61,11 @@ func meshCase(name string, cfg core.MeshTCPConfig) benchCase {
 // reused, so — like the Go benchmark — the recorded ns/op and B/op are the
 // steady state, not construction. Seeds are ignored: the workload is
 // deterministic and stateless across bursts.
-func mediumTxCase(name string, k int, dense bool) benchCase {
+func mediumTxCase(name string, k int) benchCase {
 	var tb *medium.TxBench
 	return benchCase{Name: name, Run: func(int64) (float64, time.Duration) {
 		if tb == nil {
-			tb = medium.NewTxBench(k, dense)
+			tb = medium.NewTxBench(k)
 		}
 		before := tb.SimNow()
 		tb.Burst()
@@ -86,9 +86,7 @@ func scenarioCase(name string, cfg core.ScenarioConfig) benchCase {
 // per-iteration seed derivation, so a `go test -bench` run is directly
 // comparable to a -benchjson record. The mesh entries are the scaling and
 // mobility experiments' own cells (experiments.ScalingCell /
-// experiments.MobilityCell); the Dense variant runs the identical scenario
-// on the O(N) dense-scan medium, so the committed baseline pins the
-// neighbor index's speedup.
+// experiments.MobilityCell).
 func headlineBenches() []benchCase {
 	cases := []benchCase{
 		tcpCase("BenchmarkTCP2HopNA", core.TCPConfig{Scheme: mac.NA, Rate: phy.Rate2600k, Hops: 2}),
@@ -100,9 +98,6 @@ func headlineBenches() []benchCase {
 		meshCase("BenchmarkMeshGrid400BA", experiments.ScalingCell(core.MeshGrid, mac.BA, 400, 0)),
 		meshCase("BenchmarkMeshDisk100BA", experiments.ScalingCell(core.MeshDisk, mac.BA, 100, 0)),
 	}
-	dense := experiments.ScalingCell(core.MeshGrid, mac.BA, 100, 0)
-	dense.DenseScan = true
-	cases = append(cases, meshCase("BenchmarkMeshGrid100BADense", dense))
 	// Sharded twins of the scaling cells: identical scenarios on the
 	// parallel engine, so the baseline pins the conservative
 	// synchronization's overhead (single-core) or speedup (multi-core).
@@ -129,13 +124,7 @@ func headlineBenches() []benchCase {
 	// BenchmarkMediumTx): the rows whose B/op the CI bench gate watches for
 	// sparse-table allocation regressions.
 	for _, k := range []int{5, 10, 20} { // N = 25, 100, 400
-		for _, mode := range []struct {
-			name  string
-			dense bool
-		}{{"indexed", false}, {"dense", true}} {
-			cases = append(cases, mediumTxCase(
-				fmt.Sprintf("BenchmarkMediumTx/N%d/%s", k*k, mode.name), k, mode.dense))
-		}
+		cases = append(cases, mediumTxCase(fmt.Sprintf("BenchmarkMediumTx/N%d/indexed", k*k), k))
 	}
 	return cases
 }

@@ -161,8 +161,6 @@ func main() {
 		chainHops = flag.Int("chain-hops", 4, "mesh chains: hops per chain")
 		crossFl   = flag.Int("cross-flows", 0, "mesh chains: vertical cross-traffic flows")
 		minHops   = flag.Int("min-hops", 2, "mesh grid/disk: minimum route length for sampled flows")
-		dense     = flag.Bool("dense-scan", false, "mesh: force the O(N) dense-scan medium (perf baseline)")
-		sparseRt  = flag.Bool("sparse-routes", false, "mesh: install routes toward flow endpoints only (large static meshes; avoids the O(N^2) all-pairs route build)")
 		shards    = flag.Int("shards", 0, "mesh: run the event core on N parallel shards (0 = sequential; static -topo only; 1 is bit-identical to sequential)")
 
 		mobility = flag.String("mobility", "", "mesh: mobility model: waypoint | drift (empty = static)")
@@ -294,11 +292,8 @@ func main() {
 		}
 		// Mesh-only knobs the workload engine does not thread through must
 		// fail loudly, not silently measure something else.
-		if *dense || *flows != 0 || *crossFl != 0 {
-			fatal(fmt.Errorf("-dense-scan/-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
-		}
-		if *sparseRt {
-			fatal(fmt.Errorf("-sparse-routes applies to static -topo TCP runs only"))
+		if *flows != 0 || *crossFl != 0 {
+			fatal(fmt.Errorf("-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
 		}
 		if *shards != 0 {
 			fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
@@ -369,26 +364,16 @@ func main() {
 			switch {
 			case *mobility != "":
 				fatal(fmt.Errorf("-shards supports static topologies only (drop -mobility)"))
-			case *dense:
-				fatal(fmt.Errorf("-shards requires the neighbor-indexed medium (drop -dense-scan)"))
 			case traceTo != nil:
 				fatal(fmt.Errorf("-shards cannot stream the channel timeline (drop -trace)"))
 			case faultCfg != nil:
 				fatal(fmt.Errorf("-shards cannot run with fault injection (drop the fault flags)"))
 			}
 		}
-		if *sparseRt {
-			switch {
-			case *mobility != "":
-				fatal(fmt.Errorf("-sparse-routes supports static topologies only (drop -mobility)"))
-			case faultCfg != nil:
-				fatal(fmt.Errorf("-sparse-routes cannot run with fault injection (crash recovery rebuilds full route tables)"))
-			}
-		}
 		runMesh(meshArgs{
 			topo: *topo, scheme: schemes[0], rate: rates[0],
 			nodes: *nodes, flows: *flows, chains: *chains, chainHops: *chainHops,
-			crossFlows: *crossFl, minHops: *minHops, dense: *dense, sparseRoutes: *sparseRt, shards: *shards,
+			crossFlows: *crossFl, minHops: *minHops, shards: *shards,
 			mobility: *mobility, speed: *speed, pause: *pause, moveIv: *moveIv,
 			faults: faultCfg,
 			file:   *file, agg: *agg, seed: *seed, verbose: *verbose,
@@ -400,9 +385,6 @@ func main() {
 	}
 	if *shards != 0 {
 		fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
-	}
-	if *sparseRt {
-		fatal(fmt.Errorf("-sparse-routes applies to static -topo TCP runs only"))
 	}
 	if faultCfg != nil {
 		fatal(fmt.Errorf("fault flags apply to -topo mesh runs only"))
@@ -724,8 +706,6 @@ type meshArgs struct {
 	chains, chainHops int
 	crossFlows        int
 	minHops           int
-	dense             bool
-	sparseRoutes      bool
 	shards            int
 	mobility          string
 	speed             float64
@@ -798,7 +778,7 @@ func runMesh(a meshArgs) {
 		Scheme: a.scheme, Rate: a.rate,
 		Topology: a.topo, Nodes: a.nodes, Flows: a.flows,
 		Chains: a.chains, ChainHops: a.chainHops, CrossFlows: a.crossFlows,
-		MinHops: a.minHops, DenseScan: a.dense, SparseRoutes: a.sparseRoutes, Shards: a.shards,
+		MinHops: a.minHops, Shards: a.shards,
 		Mobility: a.mobility, Speed: a.speed, Pause: a.pause, MoveInterval: a.moveIv,
 		Faults:    a.faults,
 		FileBytes: a.file, MaxAggBytes: a.agg, Seed: a.seed,

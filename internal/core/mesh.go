@@ -77,21 +77,6 @@ type MeshTCPConfig struct {
 	FileBytes int
 	// MaxAggBytes caps aggregation; defaults to 5120.
 	MaxAggBytes int
-	// DenseScan forces the medium's O(N) dense-scan oracle instead of the
-	// neighbor index — the baseline the scaling benches compare against.
-	DenseScan bool
-	// SparseRoutes plans flows from BFS hop distances and installs routes
-	// only toward the flows' endpoints (one BFS tree per distinct
-	// endpoint) instead of the generators' all-pairs install — O(D·(N+E))
-	// time and O(D·N) route entries instead of O(N²), the remaining
-	// quadratic startup term at 10k+ nodes. Behaviorally identical for
-	// mesh runs: every packet a run can carry is addressed to a flow
-	// endpoint, so every forwarding decision — including BA's
-	// overheard-broadcast-ACK forwarding — reads the same table entry the
-	// full install would have written (pinned by the sparse-routes
-	// equivalence test). Static topologies only: mobility and fault
-	// recovery rebuild full tables and are rejected.
-	SparseRoutes bool
 	// Shards selects the sharded parallel engine: the mesh is partitioned
 	// into Shards contiguous spatial domains, each running its own event
 	// loop, synchronized conservatively with lookahead ShardLookahead (see
@@ -99,7 +84,7 @@ type MeshTCPConfig struct {
 	// is byte-identical to sequential; Shards > 1 is statistically
 	// equivalent (cross-shard carrier sense inside the first lookahead
 	// window of a frame is approximated) and deterministic for a given
-	// shard count. Static topologies only: Mobility, DenseScan and TraceTo
+	// shard count. Static topologies only: Mobility, Faults and TraceTo
 	// are rejected.
 	Shards int
 	// Mobility selects a node-motion model: "" (static, the default),
@@ -277,8 +262,7 @@ func (c *MeshTCPConfig) buildMesh() *topology.Mesh {
 			Phy:     c.phyParams(),
 			OptsFor: c.optsFor,
 		},
-		Radio:       c.Radio,
-		DeferRoutes: c.SparseRoutes,
+		Radio: c.Radio,
 	}
 	switch c.Topology {
 	case MeshGrid:
@@ -312,9 +296,10 @@ type meshFlow struct {
 // planFlows picks the experiment's sessions deterministically from the
 // seed: chains get one flow along each chain plus CrossFlows column flows;
 // grid/disk sample distinct multi-hop pairs from a placement-independent
-// stream.
+// stream. Hop distances come from BFS over the adjacency (cached per
+// source), so planning needs no routes installed.
 func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*meshFlow {
-	dist := c.hopDist(m)
+	dist := hopDist(m)
 	var flows []*meshFlow
 	addFlow := func(srv, cli int) {
 		flows = append(flows, &meshFlow{
@@ -372,16 +357,9 @@ func (c *MeshTCPConfig) planFlows(m *topology.Mesh) []*meshFlow {
 	return flows
 }
 
-// hopDist returns the distance function planFlows samples with: the
-// installed-route walk normally, or per-source-cached BFS over the
-// adjacency when SparseRoutes deferred route installation. The two agree
-// exactly — HopDistance walks all-pairs shortest-path routes, so both
-// report the hop-count shortest distance, -1 where unreachable — which is
-// what makes sparse runs plan the identical flow set.
-func (c *MeshTCPConfig) hopDist(m *topology.Mesh) func(a, b int) int {
-	if !c.SparseRoutes {
-		return m.HopDistance
-	}
+// hopDist returns the hop-count shortest distance between two nodes (-1
+// where unreachable), running one BFS per distinct source.
+func hopDist(m *topology.Mesh) func(a, b int) int {
 	n := len(m.Nodes)
 	adj := m.Adjacency()
 	cache := make(map[int][]int)
@@ -393,6 +371,24 @@ func (c *MeshTCPConfig) hopDist(m *topology.Mesh) func(a, b int) int {
 		}
 		return d[b]
 	}
+}
+
+// installRoutes holds the route policy of every mesh run; topology
+// generators install none. With allPairs unset the run is static and its
+// flows are planned, so it installs routes toward the flow endpoints only:
+// every packet such a run carries, BA's overheard broadcast ACKs included,
+// is addressed to one, and each entry written is the one the all-pairs
+// install would write. That is O(D·(N+E)) time and O(D·N) entries for D
+// endpoints instead of O(N·(N+E)) and O(N²). Runs that cannot know their
+// destinations up front set allPairs: mobility and fault recovery keep
+// all-pairs tables current (RecomputeShortestPaths counts flaps against
+// them), and scenario flows pick endpoints as they arrive.
+func installRoutes(nodes []*network.Node, adj func(i int) []int, flows []*meshFlow, allPairs bool) {
+	if allPairs {
+		routing.InstallShortestPaths(nodes, adj)
+		return
+	}
+	routing.InstallPathsToward(nodes, adj, flowEndpoints(flows))
 }
 
 // flowEndpoints returns the sorted distinct node ids appearing as a flow
@@ -521,24 +517,16 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	if tcfg.MSS == 0 {
 		tcfg = tcp.DefaultConfig()
 	}
-	if cfg.SparseRoutes && (cfg.Mobility != "" || cfg.Faults.Enabled()) {
-		panic("core: SparseRoutes requires a static topology (mobility and fault recovery rebuild full route tables)")
-	}
 	if cfg.Shards > 0 {
 		return runMeshTCPSharded(cfg, tcfg)
 	}
 
 	m := cfg.buildMesh()
-	if cfg.DenseScan {
-		m.Medium.SetDenseScan(true)
-	}
 	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
 		m.Medium.SetObserver(obs)
 	}
 	flows := cfg.planFlows(m)
-	if cfg.SparseRoutes {
-		routing.InstallPathsToward(m.Nodes, m.Adjacency(), flowEndpoints(flows))
-	}
+	installRoutes(m.Nodes, m.Adjacency(), flows, cfg.Mobility != "" || cfg.Faults.Enabled())
 
 	stacks := make([]*tcp.Stack, len(m.Nodes))
 	for i, node := range m.Nodes {

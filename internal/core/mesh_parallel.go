@@ -39,7 +39,6 @@ import (
 	"aggmac/internal/medium"
 	"aggmac/internal/network"
 	"aggmac/internal/phy"
-	"aggmac/internal/routing"
 	"aggmac/internal/sim"
 	"aggmac/internal/tcp"
 	"aggmac/internal/telemetry"
@@ -100,14 +99,12 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 		panic("core: Shards supports static topologies only — unset Mobility")
 	case cfg.Faults.Enabled():
 		panic("core: fault injection needs the sequential engine — unset Faults or Shards")
-	case cfg.DenseScan:
-		panic("core: Shards requires the neighbor-indexed medium — unset DenseScan")
 	case cfg.TraceTo != nil:
 		panic("core: channel tracing is unsupported with Shards — unset TraceTo")
 	}
 
 	// m0 is a throwaway sequential build: it contributes node positions,
-	// the link table, installed routes (for flow planning) and the flow
+	// the link table, the adjacency routes are computed over and the flow
 	// plan, but never executes an event.
 	m0 := cfg.buildMesh()
 	flows := cfg.planFlows(m0)
@@ -155,11 +152,7 @@ func runMeshTCPSharded(cfg MeshTCPConfig, tcfg tcp.Config) MeshResult {
 		node.AttachMAC(mc)
 		nodes[i] = node
 	}
-	if cfg.SparseRoutes {
-		routing.InstallPathsToward(nodes, m0.Adjacency(), flowEndpoints(flows))
-	} else {
-		routing.InstallShortestPaths(nodes, m0.Adjacency())
-	}
+	installRoutes(nodes, m0.Adjacency(), flows, false)
 
 	stacks := make([]*tcp.Stack, n)
 	for i, node := range nodes {

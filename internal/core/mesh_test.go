@@ -60,20 +60,16 @@ func TestRunMeshTCPDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunMeshTCPDenseScanEquivalent pins the tentpole's end-to-end safety:
-// the neighbor-indexed medium and the seed's dense-scan path produce
-// bit-identical mesh simulations — same event count, same goodput floats,
-// same per-node counters.
+// TestRunMeshTCPDenseScanEquivalent pins the end-to-end safety of the
+// neighbor-indexed medium: the digest is of a run recorded when the seed's
+// dense-scan medium still ran in production and produced the bit-identical
+// simulation — same event count, same goodput floats, same per-node
+// counters. The dense scan itself survives as the medium package's
+// test-only reference.
 func TestRunMeshTCPDenseScanEquivalent(t *testing.T) {
-	fast := RunMeshTCP(quickMeshCfg())
-	cfg := quickMeshCfg()
-	cfg.DenseScan = true
-	dense := RunMeshTCP(cfg)
-	if fast.EventsRun != dense.EventsRun {
-		t.Fatalf("EventsRun diverged: indexed %d, dense %d", fast.EventsRun, dense.EventsRun)
-	}
-	if !reflect.DeepEqual(fast, dense) {
-		t.Fatal("indexed and dense-scan mesh runs diverged")
+	const dense = "7fd0d6116410bd980c90aadc421ae06a8e3a3f05fa5522bcc8bcd09140337fe6"
+	if got := resultDigest(t, RunMeshTCP(quickMeshCfg())); got != dense {
+		t.Fatalf("indexed mesh run digest %s, dense-scan digest %s", got, dense)
 	}
 }
 

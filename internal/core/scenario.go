@@ -219,6 +219,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	}
 	mcfg.fill()
 	m := mcfg.buildMesh()
+	installRoutes(m.Nodes, m.Adjacency(), nil, true)
 	if obs := traceObserver(cfg.TraceTo, cfg.TraceNodes, cfg.TraceFormat); obs != nil {
 		m.Medium.SetObserver(obs)
 	}

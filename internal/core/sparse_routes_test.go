@@ -1,8 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -10,46 +12,53 @@ import (
 	"aggmac/internal/phy"
 )
 
-// TestRunMeshTCPSparseRoutesEquivalent pins the SparseRoutes contract: a
-// run that installs routes only toward its flow endpoints is bit-identical
-// to the same run on all-pairs tables. BA is the scheme that stresses it —
-// overheard broadcast ACKs are forwarded by any node with a route — and
-// grid, disk and chains exercise all three flow-planning paths.
+// resultDigest hashes a mesh result's JSON: exact float bits, every
+// per-flow and per-node field, and EventsRun.
+func resultDigest(t *testing.T, res MeshResult) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// TestRunMeshTCPSparseRoutesEquivalent pins the static route policy: a run
+// that installs routes only toward its flow endpoints is bit-identical to
+// the same run on all-pairs tables. The digests are of all-pairs runs,
+// recorded when both installs could still be selected and produced equal
+// results. BA is the scheme that stresses it — overheard broadcast ACKs
+// are forwarded by any node with a route — and grid, disk and chains
+// exercise all three flow-planning paths.
 func TestRunMeshTCPSparseRoutesEquivalent(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  MeshTCPConfig
+		name   string
+		cfg    MeshTCPConfig
+		digest string
 	}{
 		{"grid", MeshTCPConfig{
 			Scheme: mac.BA, Rate: phy.Rate2600k,
 			Topology: MeshGrid, Nodes: 25, Flows: 4,
 			FileBytes: 8_000, Seed: 3,
 			Deadline: 600 * time.Second,
-		}},
+		}, "279ea5d27b6af6c484764577a68bf347334ffeb32e69e5734eecb8cddcfbf60a"},
 		{"disk", MeshTCPConfig{
 			Scheme: mac.BA, Rate: phy.Rate2600k,
 			Topology: MeshDisk, Nodes: 30, Flows: 3,
 			FileBytes: 6_000, Seed: 5,
 			Deadline: 600 * time.Second,
-		}},
+		}, "ae359df12a940deb31f160bcba3df6d7c3485b3541d2ded509d975b6102a460e"},
 		{"chains", MeshTCPConfig{
 			Scheme: mac.UA, Rate: phy.Rate2600k,
 			Topology: MeshChains, Chains: 3, ChainHops: 3, CrossFlows: 1,
 			FileBytes: 6_000, Seed: 2,
 			Deadline: 600 * time.Second,
-		}},
+		}, "447b1a809bfe33ab04b6c4cd8f1456cc086bdfeb618883092d17fd46ecf78287"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			full := RunMeshTCP(tc.cfg)
-			cfg := tc.cfg
-			cfg.SparseRoutes = true
-			sparse := RunMeshTCP(cfg)
-			if full.EventsRun != sparse.EventsRun {
-				t.Fatalf("EventsRun diverged: full routes %d, sparse routes %d", full.EventsRun, sparse.EventsRun)
-			}
-			if !reflect.DeepEqual(full, sparse) {
-				t.Fatal("full-route and sparse-route mesh runs diverged")
+			if got := resultDigest(t, RunMeshTCP(tc.cfg)); got != tc.digest {
+				t.Fatalf("endpoint-route run digest %s, all-pairs digest %s", got, tc.digest)
 			}
 		})
 	}
@@ -64,61 +73,19 @@ func TestRunMeshTCPSparseRoutesShardedEquivalent(t *testing.T) {
 		FileBytes: 6_000, Seed: 7, Shards: 2,
 		Deadline: 600 * time.Second,
 	}
-	full := RunMeshTCP(cfg)
-	cfg.SparseRoutes = true
-	sparse := RunMeshTCP(cfg)
-	if !reflect.DeepEqual(full, sparse) {
-		t.Fatal("full-route and sparse-route sharded runs diverged")
+	const allPairs = "8407d4892e03a4044525e8096401c900baa645e286d019516c1da789282fdf7a"
+	if got := resultDigest(t, RunMeshTCP(cfg)); got != allPairs {
+		t.Fatalf("endpoint-route sharded run digest %s, all-pairs digest %s", got, allPairs)
 	}
 }
 
-// TestRunMeshTCPSparseRoutesRejectsDynamics: mobility and fault recovery
-// rebuild full route tables, so combining them with SparseRoutes must fail
-// loudly instead of silently measuring a different system.
-func TestRunMeshTCPSparseRoutesRejectsDynamics(t *testing.T) {
-	expectPanic := func(name string, cfg MeshTCPConfig) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: SparseRoutes accepted a dynamic topology", name)
-			}
-		}()
-		RunMeshTCP(cfg)
-	}
-	cfg := quickMeshCfg()
-	cfg.SparseRoutes = true
-	cfg.Mobility = MobilityWaypoint
-	expectPanic("mobility", cfg)
-}
-
-// scaleGated skips t unless AGGMAC_SCALE is set: the large-N tests below
-// take tens of seconds and real memory, so only the CI scale job (and
-// explicit local runs) pay for them.
+// scaleGated skips t unless AGGMAC_SCALE is set: the large-N test below
+// builds a 25,600-node world, so only the CI scale job (and explicit local
+// runs) pay for it. The scale job's N=400 full run is a gated golden row
+// in the root package (scaleGoldens in golden_test.go).
 func scaleGated(t *testing.T) {
 	if os.Getenv("AGGMAC_SCALE") == "" {
 		t.Skip("set AGGMAC_SCALE=1 to run large-N scale tests")
-	}
-}
-
-// TestMeshSparseVsDenseFullRunN400 is the scale job's full-run equivalence
-// gate: one N=400 scaling cell simulated end to end on the sparse
-// neighbor-indexed table and again on the materialized dense oracle, with
-// every result field compared.
-func TestMeshSparseVsDenseFullRunN400(t *testing.T) {
-	scaleGated(t)
-	cfg := MeshTCPConfig{
-		Scheme: mac.BA, Rate: phy.Rate2600k,
-		Topology: MeshGrid, Nodes: 400, Flows: 33,
-		FileBytes: 30_000, Seed: 1,
-		Deadline: 1200 * time.Second,
-	}
-	fast := RunMeshTCP(cfg)
-	cfg.DenseScan = true
-	dense := RunMeshTCP(cfg)
-	if fast.EventsRun != dense.EventsRun {
-		t.Fatalf("EventsRun diverged: sparse %d, dense %d", fast.EventsRun, dense.EventsRun)
-	}
-	if !reflect.DeepEqual(fast, dense) {
-		t.Fatal("sparse and dense-oracle N=400 full runs diverged")
 	}
 }
 
@@ -135,8 +102,7 @@ func TestLargeGridSmoke(t *testing.T) {
 		Scheme: mac.BA, Rate: phy.Rate2600k,
 		Topology: MeshGrid, Nodes: n, Flows: 4,
 		FileBytes: 20_000, Seed: 1,
-		SparseRoutes: true,
-		Deadline:     600 * time.Second,
+		Deadline: 600 * time.Second,
 	})
 	if res.NodeCount != n {
 		t.Fatalf("built %d nodes, want %d", res.NodeCount, n)

@@ -32,9 +32,8 @@ type TxBench struct {
 	txs   []func()
 }
 
-// NewTxBench builds the k×k grid workload; dense selects the O(N)
-// dense-scan oracle instead of the neighbor-indexed sparse table.
-func NewTxBench(k int, dense bool) *TxBench {
+// NewTxBench builds the k×k grid workload.
+func NewTxBench(k int) *TxBench {
 	s := sim.NewScheduler(1)
 	p := phy.DefaultParams()
 	m := NewUnconnected(s, p, k*k)
@@ -51,7 +50,6 @@ func NewTxBench(k int, dense bool) *TxBench {
 			m.Attach(id(r, c), nopRadio{})
 		}
 	}
-	m.SetDenseScan(dense)
 	h := k / 2
 	srcs := []NodeID{
 		0, NodeID(k - 1), NodeID(k * (k - 1)), NodeID(k*k - 1), // corners

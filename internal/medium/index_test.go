@@ -12,8 +12,9 @@ import (
 )
 
 // checkIndexAgainstMatrix asserts, for every source, that the incremental
-// neighbor index equals what a fresh scan of the dense link matrix (the
-// oracle) produces: exactly the connected non-self destinations, ascending.
+// neighbor index equals what a fresh scan of every directed pair's
+// connectivity produces: exactly the connected non-self destinations,
+// ascending.
 func checkIndexAgainstMatrix(t *testing.T, m *Medium, step int) {
 	t.Helper()
 	n := len(m.radios)
@@ -40,7 +41,7 @@ func checkIndexAgainstMatrix(t *testing.T, m *Medium, step int) {
 // TestNeighborIndexMatchesMatrixOracle churns the connectivity setters —
 // bidirectional cuts/restores, asymmetric directed edits, SNR overrides,
 // self-link no-ops, redundant repeats — and checks the neighbor index
-// against the dense matrix after every few steps.
+// against a full scan of Connected after every few steps.
 func TestNeighborIndexMatchesMatrixOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -161,8 +162,8 @@ func (tr *mobilityTrace) inRangeOracle(a, b int) bool {
 // TestNeighborIndexUnderMobilityTrace drives sustained mobility-style
 // churn — every step moves all nodes and reconciles every crossed range
 // boundary — and checks after each step that (a) the incremental neighbor
-// index still equals a fresh scan of the dense matrix and (b) the matrix
-// itself matches the positional ground truth the trace maintains.
+// index still equals a fresh scan of Connected and (b) Connected itself
+// matches the positional ground truth the trace maintains.
 func TestNeighborIndexUnderMobilityTrace(t *testing.T) {
 	const n = 23
 	s := sim.NewScheduler(3)
@@ -191,29 +192,34 @@ func TestNeighborIndexUnderMobilityTrace(t *testing.T) {
 
 // runEquivalenceScenario drives an identical randomized partial-mesh
 // traffic pattern through the medium and returns everything observable:
-// per-radio reception/carrier counts and the channel stats. dense selects
-// the seed's O(N) scan path; the default is the neighbor index. Both must
-// produce bit-identical observations (same RNG draw sequence included).
-func runEquivalenceScenario(t *testing.T, dense bool) ([]fakeRadio, Stats) {
+// per-radio reception/carrier counts and the channel stats. scan routes
+// every transmission through scanRef, the test-only O(N) scan against a
+// shadow link matrix; the default is the production neighbor index. Both
+// must produce bit-identical observations (same RNG draw sequence
+// included).
+func runEquivalenceScenario(t *testing.T, scan bool) ([]fakeRadio, Stats) {
 	t.Helper()
 	const n = 14
 	s := sim.NewScheduler(5)
 	m := New(s, phy.DefaultParams(), n)
-	m.SetDenseScan(dense)
+	st := newShadowTable(phy.DefaultParams(), n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			st.setConnectedDirected(a, b, true)
+		}
+	}
 
 	// Randomized sparse topology, including asymmetric cuts and per-link
-	// SNR spread. Node 9 stays detached (nil radio): the collision loops
-	// must skip it.
+	// SNR spread, written to the medium and the shadow alike. Node 9 stays
+	// detached (nil radio): the collision loops must skip it.
 	rng := rand.New(rand.NewSource(99))
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			switch rng.Intn(4) {
-			case 0:
-				m.SetConnected(NodeID(a), NodeID(b), false)
-			case 1:
-				m.SetConnectedDirected(NodeID(a), NodeID(b), false)
+			switch op := rng.Intn(4); op {
+			case 0, 1: // bidirectional / directed cut (odd value = off)
+				applyOp(m, st, op, a, b, 1)
 			case 2:
-				m.SetSNR(NodeID(a), NodeID(b), 6+float64(rng.Intn(22)))
+				applyOp(m, st, op, a, b, 6+float64(rng.Intn(22)))
 			}
 		}
 	}
@@ -223,6 +229,11 @@ func runEquivalenceScenario(t *testing.T, dense bool) ([]fakeRadio, Stats) {
 			continue
 		}
 		m.Attach(NodeID(i), &radios[i])
+	}
+	txCtrl, txAgg := m.TransmitControl, m.TransmitAggregate
+	if scan {
+		ref := &scanRef{t: t, m: m, st: st}
+		txCtrl, txAgg = ref.transmitControl, ref.transmitAggregate
 	}
 
 	// Overlapping traffic: staggered controls and aggregates from many
@@ -240,27 +251,30 @@ func runEquivalenceScenario(t *testing.T, dense bool) ([]fakeRadio, Stats) {
 		c := frame.Control{Type: frame.TypeCTS, RA: frame.Broadcast}
 		agg := dataAgg(1+round%3, 400, frame.NodeAddr(int((src+1)%n)))
 		rsrc, rsrc2 := src, src2
-		s.After(at, "tx-ctrl", func() { m.TransmitControl(rsrc, c) })
-		s.After(at+40*time.Microsecond, "tx-agg", func() { m.TransmitAggregate(rsrc2, agg) })
+		s.After(at, "tx-ctrl", func() { txCtrl(rsrc, c) })
+		s.After(at+40*time.Microsecond, "tx-agg", func() { txAgg(rsrc2, agg) })
 		at += 3 * time.Millisecond
 	}
 	s.Run()
 	return radios, m.Stats()
 }
 
-// TestIndexedMatchesDenseScan pins the equivalence of the neighbor-indexed
-// hot paths to the dense-scan oracle on a randomized partial mesh with
-// collisions, asymmetric links, SNR spread, and a detached radio.
+// TestIndexedMatchesDenseScan pins the neighbor-indexed hot paths to the
+// scan-every-radio reference on a randomized partial mesh with collisions,
+// asymmetric links, SNR spread, and a detached radio.
 func TestIndexedMatchesDenseScan(t *testing.T) {
 	fastRadios, fastStats := runEquivalenceScenario(t, false)
-	denseRadios, denseStats := runEquivalenceScenario(t, true)
-	if fastStats != denseStats {
-		t.Errorf("stats diverged:\nindexed: %+v\ndense:   %+v", fastStats, denseStats)
+	scanRadios, scanStats := runEquivalenceScenario(t, true)
+	if fastStats != scanStats {
+		t.Errorf("stats diverged:\nindexed: %+v\nscan:    %+v", fastStats, scanStats)
+	}
+	if fastStats.Collisions == 0 {
+		t.Error("scenario produced no collisions; the marking paths went unexercised")
 	}
 	for i := range fastRadios {
-		f, d := &fastRadios[i], &denseRadios[i]
+		f, d := &fastRadios[i], &scanRadios[i]
 		if f.busyEdges != d.busyEdges || f.idleEdges != d.idleEdges {
-			t.Errorf("radio %d carrier edges diverged: indexed %d/%d dense %d/%d",
+			t.Errorf("radio %d carrier edges diverged: indexed %d/%d scan %d/%d",
 				i, f.busyEdges, f.idleEdges, d.busyEdges, d.idleEdges)
 		}
 		if !reflect.DeepEqual(f.ctrls, d.ctrls) || !reflect.DeepEqual(f.ctrlSrcs, d.ctrlSrcs) {

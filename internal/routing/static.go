@@ -1,9 +1,9 @@
 // Static shortest-path route computation for generated mesh topologies.
 // The paper's testbed forces multi-hop paths with static routes; mesh
 // scenarios do the same at scale: instead of flooding AODV discoveries
-// through hundreds of nodes, the generators compute hop-count shortest
-// paths over the connectivity graph up front and install them into the
-// network layer's tables, so transports start with full reachability.
+// through hundreds of nodes, mesh runs compute hop-count shortest paths
+// over the connectivity graph up front and install them into the network
+// layer's tables, so transports start with every route they will use.
 // Mobile scenarios re-run the computation periodically with
 // RecomputeShortestPaths, which also accounts for how many table entries
 // each round changed (the route-flap metric).

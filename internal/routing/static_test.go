@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -249,5 +250,82 @@ func TestRecomputePartitionAndHeal(t *testing.T) {
 	// Equilibrium after heal.
 	if again := RecomputeShortestPaths(nodes, full); again != 0 {
 		t.Fatalf("post-heal recompute changed %d routes", again)
+	}
+}
+
+// randomSymAdj returns a seeded random symmetric graph on n nodes (each
+// pair linked with probability p) with ascending neighbor lists.
+func randomSymAdj(n int, p float64, seed int64) func(i int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	adj := make([][]int, n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if rng.Float64() < p {
+				adj[a] = append(adj[a], b)
+				adj[b] = append(adj[b], a)
+			}
+		}
+	}
+	// Lists come out ascending: a's lower neighbors were appended by
+	// earlier rows, its higher ones in order by its own.
+	return func(i int) []int { return adj[i] }
+}
+
+func newNodes(n int) []*network.Node {
+	nodes := make([]*network.Node, n)
+	for i := range nodes {
+		nodes[i] = network.NewNode(network.NodeID(i))
+	}
+	return nodes
+}
+
+// TestInstallPathsTowardMatchesFullInstall pins the endpoint-only install
+// to the all-pairs one: its table equals InstallShortestPaths' entries
+// toward the listed destinations (same next hops, same tie-breaks), so it
+// writes nothing toward any other destination.
+func TestInstallPathsTowardMatchesFullInstall(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		adj   func(i int) []int
+		dests []int
+	}{
+		{"random", 40, randomSymAdj(40, 0.08, 1), []int{3, 17, 0, 39, 22}},
+		// Two components plus an isolated node: destinations in one part
+		// must get no routes from the other.
+		{"disconnected", 9, func() func(i int) []int {
+			adj := [][]int{0: {1}, 1: {0, 2}, 2: {1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}, 6: {7}, 7: {6}, 8: {}}
+			return func(i int) []int { return adj[i] }
+		}(), []int{2, 5, 8}},
+		{"duplicates", 30, randomSymAdj(30, 0.12, 2), []int{7, 7, 12, 7, 12, 29}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full := newNodes(tc.n)
+			InstallShortestPaths(full, tc.adj)
+			listed := make(map[int]bool)
+			want := make(map[[2]int]int)
+			for _, d := range tc.dests {
+				listed[d] = true
+			}
+			for k, v := range routeTable(full) {
+				if listed[k[1]] {
+					want[k] = v
+				}
+			}
+
+			sparse := newNodes(tc.n)
+			installed := InstallPathsToward(sparse, tc.adj, tc.dests)
+			got := routeTable(sparse)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("endpoint install wrote %d entries, full install's listed subset has %d (or next hops differ)",
+					len(got), len(want))
+			}
+			if len(want) == 0 {
+				t.Fatal("case installs nothing; it pins nothing")
+			}
+			if installed != len(want) {
+				t.Errorf("InstallPathsToward reported %d routes, wrote %d", installed, len(want))
+			}
+		})
 	}
 }

@@ -13,9 +13,7 @@ import (
 // link matrix and all-pairs pair scan dominated startup. The acceptance
 // shape: ns/op and B/op grow ~linearly in N (constant per-node cost at
 // fixed degree), so the N=25600 row runs ~16× the N=1600 row, not ~256×.
-// Routes are deferred exactly as large-N runs defer them
-// (core.MeshTCPConfig.SparseRoutes); the all-pairs route install would
-// otherwise re-quadratize the measurement.
+// The generators install no routes, so none are measured here.
 //
 //	go test ./internal/topology -bench GridConstruct -benchtime 5x
 func BenchmarkGridConstruct(b *testing.B) {
@@ -29,7 +27,6 @@ func BenchmarkGridConstruct(b *testing.B) {
 						return mac.DefaultOptions(mac.BA, phy.Rate2600k)
 					},
 				},
-				DeferRoutes: true,
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,9 +1,10 @@
 // Mesh topology generators: the spatially sparse, multi-collision-domain
 // layouts real deployments have (grids, random disk graphs, parallel
 // chains), as opposed to the paper's single collision domain. Connectivity
-// and per-link SNR derive from node positions through a disk radio model;
-// shortest-path routes are computed up front (internal/routing) so the
-// stacks start with full reachability. Per-transmission simulation cost on
+// and per-link SNR derive from node positions through a disk radio model.
+// The generators install no routes: which tables a run needs depends on
+// its traffic, so the caller installs them (internal/routing) over
+// Adjacency. Per-transmission simulation cost on
 // these layouts is O(degree), not O(N) — see the medium's complexity model.
 package topology
 
@@ -13,7 +14,6 @@ import (
 	"math/rand"
 
 	"aggmac/internal/medium"
-	"aggmac/internal/routing"
 )
 
 // Point is a node position, in units of the nominal node spacing.
@@ -50,12 +50,6 @@ type MeshConfig struct {
 	// Radio overrides the disk radio model; a zero Range selects the
 	// default model at the PHY's calibrated SNR.
 	Radio RadioModel
-	// DeferRoutes skips the generators' all-pairs shortest-path install —
-	// O(N·(N+E)) time and O(N²) route entries, the remaining quadratic
-	// term at large N. Callers then install only the routes they need
-	// (routing.InstallPathsToward); HopDistance returns -1 for any pair
-	// whose destination has no routes yet.
-	DeferRoutes bool
 }
 
 func (c *MeshConfig) radio() RadioModel {
@@ -107,7 +101,7 @@ type LinkOverlay interface {
 func (m *Mesh) SetOverlay(o LinkOverlay) { m.overlay = o }
 
 // newMesh builds nodes at the given positions and wires every pair within
-// radio range with a distance-derived SNR. Routes are not yet installed.
+// radio range with a distance-derived SNR.
 // Extent defaults to the bounding box of the positions (NewRandomDisk
 // widens it to the full placement square).
 func newMesh(pos []Point, cfg MeshConfig) *Mesh {
@@ -189,15 +183,6 @@ func (m *Mesh) Adjacency() func(i int) []int {
 	return func(i int) []int { return adj[i] }
 }
 
-// installRoutes computes and installs shortest-path next hops everywhere,
-// unless the config deferred routing to the caller.
-func (m *Mesh) installRoutes(cfg MeshConfig) {
-	if cfg.DeferRoutes {
-		return
-	}
-	routing.InstallShortestPaths(m.Nodes, m.Adjacency())
-}
-
 // bridgeComponents joins disconnected components (possible in random
 // layouts) by linking the globally closest pair of nodes in different
 // components, repeatedly, until the graph is connected. Bridge links carry
@@ -274,7 +259,7 @@ func (m *Mesh) AvgDegree() float64 {
 }
 
 // HopDistance walks the installed routes from a to b and returns the hop
-// count (-1 if no route).
+// count (-1 if no route, including before any routes are installed).
 func (m *Mesh) HopDistance(a, b int) int {
 	if a == b {
 		return 0
@@ -294,9 +279,9 @@ func (m *Mesh) HopDistance(a, b int) int {
 	return hops
 }
 
-// NewGrid builds a k×k grid mesh at unit spacing with shortest-path routes
-// installed. With the default radio model every interior node has its
-// 8-neighborhood; per-transmission cost is O(degree) however large k grows.
+// NewGrid builds a k×k grid mesh at unit spacing. With the default radio
+// model every interior node has its 8-neighborhood; per-transmission cost
+// is O(degree) however large k grows.
 func NewGrid(k int, cfg MeshConfig) *Mesh {
 	if k < 2 {
 		panic(fmt.Sprintf("topology: grid needs k >= 2, got %d", k))
@@ -307,16 +292,14 @@ func NewGrid(k int, cfg MeshConfig) *Mesh {
 			pos = append(pos, Point{X: float64(c), Y: float64(r)})
 		}
 	}
-	m := newMesh(pos, cfg)
-	m.installRoutes(cfg)
-	return m
+	return newMesh(pos, cfg)
 }
 
 // NewRandomDisk scatters n nodes uniformly over a √n × √n area (unit
 // density, so expected degree is fixed as n grows) using a placement
 // stream derived from cfg.Seed but decoupled from the simulation's RNG,
-// connects pairs within radio range, bridges any disconnected components
-// through their closest node pairs, and installs shortest-path routes.
+// connects pairs within radio range, and bridges any disconnected
+// components through their closest node pairs.
 func NewRandomDisk(n int, cfg MeshConfig) *Mesh {
 	if n < 2 {
 		panic(fmt.Sprintf("topology: disk mesh needs n >= 2, got %d", n))
@@ -330,7 +313,6 @@ func NewRandomDisk(n int, cfg MeshConfig) *Mesh {
 	m := newMesh(pos, cfg)
 	m.Extent = Point{X: side, Y: side}
 	m.bridgeComponents()
-	m.installRoutes(cfg)
 	return m
 }
 
@@ -355,9 +337,7 @@ func NewParallelChains(chains, hops int, rowSpacing float64, cfg MeshConfig) *Me
 			pos = append(pos, Point{X: float64(j), Y: float64(i) * rowSpacing})
 		}
 	}
-	m := newMesh(pos, cfg)
-	m.installRoutes(cfg)
-	return m
+	return newMesh(pos, cfg)
 }
 
 // ChainNode returns the node id of position idx on the given chain of a
@@ -380,7 +360,7 @@ type LinkDelta struct {
 // Cuts walk the existing neighbor lists (O(E)); candidate raises come from
 // binning nodes into radio-range-sized cells, so only same-cell and
 // adjacent-cell pairs are examined — O(N · local density), never an O(N²)
-// all-pairs scan and never the medium's O(N) dense path. The setters are
+// all-pairs scan. The setters are
 // idempotent state writes with no RNG draws, so the outcome is independent
 // of pair visit order and map-ordered bin iteration is safe.
 //

@@ -13,8 +13,35 @@ func meshCfg(seed int64) MeshConfig {
 	return MeshConfig{Config: cfg(seed)}
 }
 
+// routed installs all-pairs shortest-path routes on a generated mesh; the
+// generators leave routing to their callers.
+func routed(m *Mesh) *Mesh {
+	routing.InstallShortestPaths(m.Nodes, m.Adjacency())
+	return m
+}
+
+// TestGeneratorsInstallNoRoutes: route tables are the caller's choice, so a
+// fresh mesh has none and HopDistance reports every distinct pair
+// unreachable until the caller installs them.
+func TestGeneratorsInstallNoRoutes(t *testing.T) {
+	for name, m := range map[string]*Mesh{
+		"grid":   NewGrid(3, meshCfg(1)),
+		"disk":   NewRandomDisk(12, meshCfg(1)),
+		"chains": NewParallelChains(2, 2, 1, meshCfg(1)),
+	} {
+		for _, node := range m.Nodes {
+			if _, ok := node.Route(1); ok && node.ID() != 1 {
+				t.Errorf("%s: node %d has a route before any install", name, node.ID())
+			}
+		}
+		if d := m.HopDistance(0, 1); d != -1 {
+			t.Errorf("%s: HopDistance(0, 1) = %d before any install, want -1", name, d)
+		}
+	}
+}
+
 func TestGridBuild(t *testing.T) {
-	m := NewGrid(4, meshCfg(1))
+	m := routed(NewGrid(4, meshCfg(1)))
 	if len(m.Nodes) != 16 {
 		t.Fatalf("4x4 grid has %d nodes", len(m.Nodes))
 	}
@@ -43,7 +70,7 @@ func TestGridBuild(t *testing.T) {
 }
 
 func TestGridForwardsEndToEnd(t *testing.T) {
-	m := NewGrid(4, meshCfg(2))
+	m := routed(NewGrid(4, meshCfg(2)))
 	got := 0
 	m.Nodes[15].Handle(network.ProtoUDP, func(p network.Packet) { got++ })
 	m.Sched.After(0, "send", func() {
@@ -56,7 +83,7 @@ func TestGridForwardsEndToEnd(t *testing.T) {
 }
 
 func TestRandomDiskConnectedAndDeterministic(t *testing.T) {
-	a := NewRandomDisk(40, meshCfg(7))
+	a := routed(NewRandomDisk(40, meshCfg(7)))
 	if len(a.Nodes) != 40 {
 		t.Fatalf("disk has %d nodes", len(a.Nodes))
 	}
@@ -95,7 +122,7 @@ func TestRandomDiskConnectedAndDeterministic(t *testing.T) {
 
 func TestParallelChains(t *testing.T) {
 	// Adjacent chains at spacing 1 share spectrum and can route across.
-	m := NewParallelChains(3, 4, 1, meshCfg(3))
+	m := routed(NewParallelChains(3, 4, 1, meshCfg(3)))
 	if len(m.Nodes) != 15 {
 		t.Fatalf("3 chains x 4 hops = %d nodes, want 15", len(m.Nodes))
 	}
@@ -106,7 +133,7 @@ func TestParallelChains(t *testing.T) {
 		t.Errorf("cross-chain distance = %d, want 2", d)
 	}
 	// Spacing past the radio range isolates the chains.
-	far := NewParallelChains(2, 3, 5, meshCfg(3))
+	far := routed(NewParallelChains(2, 3, 5, meshCfg(3)))
 	if d := far.HopDistance(ChainNode(0, 0, 3), ChainNode(1, 0, 3)); d != -1 {
 		t.Errorf("isolated chains still routed (%d hops)", d)
 	}
