@@ -104,24 +104,32 @@ func BenchmarkTCPStarBA(b *testing.B) {
 }
 
 // benchMesh runs one mesh scaling cell per iteration (many concurrent TCP
-// flows over a generated sparse topology), reporting aggregate goodput and
-// simulation speed. The configs come from experiments.ScalingCell, so these
-// benches measure exactly what `aggbench -exp scaling` runs (see also
-// BenchmarkMediumTx in internal/medium).
+// flows over a generated sparse topology), reporting aggregate goodput,
+// simulation speed and the wall time per executed event — the per-event
+// cost whose curve over the MeshGrid sizes shows how it grows with N. The
+// configs come from experiments.ScalingCell, so these benches measure
+// exactly what `aggbench -exp scaling` runs (see also BenchmarkMediumTx in
+// internal/medium).
 func benchMesh(b *testing.B, cfg core.MeshTCPConfig) {
 	b.Helper()
 	b.ReportAllocs()
 	var res core.MeshResult
 	start := time.Now()
 	var simulated time.Duration
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		res = core.RunMeshTCP(cfg)
 		simulated += res.Elapsed
+		events += res.EventsRun
 	}
+	wall := time.Since(start)
 	b.ReportMetric(res.AggregateMbps, "Mbps")
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(simulated.Seconds()/wall, "simsec/sec")
+	if wall > 0 {
+		b.ReportMetric(simulated.Seconds()/wall.Seconds(), "simsec/sec")
+	}
+	if events > 0 {
+		b.ReportMetric(float64(wall.Nanoseconds())/float64(events), "ns/event")
 	}
 }
 

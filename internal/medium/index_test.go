@@ -3,6 +3,7 @@ package medium
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,8 +163,9 @@ func (tr *mobilityTrace) inRangeOracle(a, b int) bool {
 // TestNeighborIndexUnderMobilityTrace drives sustained mobility-style
 // churn — every step moves all nodes and reconciles every crossed range
 // boundary — and checks after each step that (a) the incremental neighbor
-// index still equals a fresh scan of Connected and (b) Connected itself
-// matches the positional ground truth the trace maintains.
+// index still equals a fresh scan of Connected, with every inline SNR copy
+// equal to its slot, and (b) Connected itself matches the positional
+// ground truth the trace maintains.
 func TestNeighborIndexUnderMobilityTrace(t *testing.T) {
 	const n = 23
 	s := sim.NewScheduler(3)
@@ -179,6 +181,7 @@ func TestNeighborIndexUnderMobilityTrace(t *testing.T) {
 		}
 		tr.step(m, stride)
 		checkIndexAgainstMatrix(t, m, step)
+		checkTableInvariants(t, m.Table(), step)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if want := tr.inRangeOracle(a, b); m.Connected(NodeID(a), NodeID(b)) != want {
@@ -197,7 +200,14 @@ func TestNeighborIndexUnderMobilityTrace(t *testing.T) {
 // shadow link matrix; the default is the production neighbor index. Both
 // must produce bit-identical observations (same RNG draw sequence
 // included).
-func runEquivalenceScenario(t *testing.T, scan bool) ([]fakeRadio, Stats) {
+//
+// churn additionally cuts, restores and re-SNRs links — in the medium (or,
+// for scanRef, its bare link table) and the shadow alike — while frames
+// are in flight, with capture on so interference levels matter too. The
+// production run then checks the in-flight index after every change; the
+// reference run returns how many of its marking decisions the changes
+// altered.
+func runEquivalenceScenario(t *testing.T, scan, churn bool) ([]fakeRadio, Stats, int) {
 	t.Helper()
 	const n = 14
 	s := sim.NewScheduler(5)
@@ -231,13 +241,21 @@ func runEquivalenceScenario(t *testing.T, scan bool) ([]fakeRadio, Stats) {
 		m.Attach(NodeID(i), &radios[i])
 	}
 	txCtrl, txAgg := m.TransmitControl, m.TransmitAggregate
+	var links linkSetter = m
+	var ref *scanRef
 	if scan {
-		ref := &scanRef{t: t, m: m, st: st}
+		ref = &scanRef{t: t, m: m, st: st}
 		txCtrl, txAgg = ref.transmitControl, ref.transmitAggregate
+		links = refLinks{m.tbl}
+	}
+	if churn {
+		m.SetCapture(3)
 	}
 
 	// Overlapping traffic: staggered controls and aggregates from many
-	// sources, close enough in time to collide at shared receivers.
+	// sources, close enough in time to collide at shared receivers. Under
+	// churn, link changes land inside the control frame's airtime (before
+	// the aggregate launches against it) and inside the aggregate's.
 	at := time.Duration(0)
 	for round := 0; round < 40; round++ {
 		src := NodeID((round * 5) % n)
@@ -253,18 +271,36 @@ func runEquivalenceScenario(t *testing.T, scan bool) ([]fakeRadio, Stats) {
 		rsrc, rsrc2 := src, src2
 		s.After(at, "tx-ctrl", func() { txCtrl(rsrc, c) })
 		s.After(at+40*time.Microsecond, "tx-agg", func() { txAgg(rsrc2, agg) })
+		if churn {
+			// Each change edits a link of the frame in flight: a cut or
+			// raise (both ways or one way), an SNR override, or a return
+			// to the default SNR.
+			for _, ch := range []struct {
+				off time.Duration
+				src NodeID
+			}{{20 * time.Microsecond, src}, {100 * time.Microsecond, src2}} {
+				op, a, b, v := []int{0, 1, 2, 2, 6}[rng.Intn(5)], int(ch.src), rng.Intn(n), float64(6+rng.Intn(22))
+				s.After(at+ch.off, "churn", func() {
+					applyOp(links, st, op, a, b, v)
+					if !scan {
+						checkAirIndex(t, m)
+					}
+				})
+			}
+		}
 		at += 3 * time.Millisecond
 	}
 	s.Run()
-	return radios, m.Stats()
+	if ref != nil {
+		return radios, m.Stats(), ref.churnMarks
+	}
+	return radios, m.Stats(), 0
 }
 
-// TestIndexedMatchesDenseScan pins the neighbor-indexed hot paths to the
-// scan-every-radio reference on a randomized partial mesh with collisions,
-// asymmetric links, SNR spread, and a detached radio.
-func TestIndexedMatchesDenseScan(t *testing.T) {
-	fastRadios, fastStats := runEquivalenceScenario(t, false)
-	scanRadios, scanStats := runEquivalenceScenario(t, true)
+// compareRuns fails on any observable difference between an indexed run
+// and a reference run.
+func compareRuns(t *testing.T, fastRadios []fakeRadio, fastStats Stats, scanRadios []fakeRadio, scanStats Stats) {
+	t.Helper()
 	if fastStats != scanStats {
 		t.Errorf("stats diverged:\nindexed: %+v\nscan:    %+v", fastStats, scanStats)
 	}
@@ -286,6 +322,74 @@ func TestIndexedMatchesDenseScan(t *testing.T) {
 		if !reflect.DeepEqual(f.aggs, d.aggs) || !reflect.DeepEqual(f.aggSrcs, d.aggSrcs) {
 			t.Errorf("radio %d aggregate receptions diverged", i)
 		}
+	}
+}
+
+// TestIndexedMatchesDenseScan pins the neighbor-indexed hot paths to the
+// scan-every-radio reference on a randomized partial mesh with collisions,
+// asymmetric links, SNR spread, and a detached radio.
+func TestIndexedMatchesDenseScan(t *testing.T) {
+	fastRadios, fastStats, _ := runEquivalenceScenario(t, false, false)
+	scanRadios, scanStats, _ := runEquivalenceScenario(t, true, false)
+	compareRuns(t, fastRadios, fastStats, scanRadios, scanStats)
+}
+
+// TestIndexedMatchesScanUnderLinkChurn is the same pin with links cut,
+// restored and re-SNR'd under frames in flight: the in-flight index must
+// follow every change exactly as the reference's fresh scan of the shadow
+// does, and the changes must actually move collision marks.
+func TestIndexedMatchesScanUnderLinkChurn(t *testing.T) {
+	fastRadios, fastStats, _ := runEquivalenceScenario(t, false, true)
+	scanRadios, scanStats, churnMarks := runEquivalenceScenario(t, true, true)
+	compareRuns(t, fastRadios, fastStats, scanRadios, scanStats)
+	t.Logf("link changes altered %d marking decisions; %+v", churnMarks, fastStats)
+	if churnMarks == 0 {
+		t.Error("no link change altered a collision mark; the index repair went unexercised")
+	}
+	if fastStats.Captures == 0 {
+		t.Error("scenario produced no captures; interference levels went unexercised")
+	}
+}
+
+// checkAirIndex asserts the in-flight index from scratch: node x holds one
+// entry for each in-flight frame whose launch-time audience holds x or
+// whose source is connected to x now, with x's audience position, the
+// current connectivity, and (while heard) the current SNR — and nothing
+// else.
+func checkAirIndex(t *testing.T, m *Medium) {
+	t.Helper()
+	want := 0
+	for _, own := range m.txOf {
+		for _, o := range own {
+			for x := range m.air {
+				id := NodeID(x)
+				pos := int32(slices.Index(o.audience, id))
+				heard := m.Connected(o.src, id)
+				i := m.airAt(id, o)
+				if pos < 0 && !heard {
+					if i >= 0 {
+						t.Fatalf("air[%d] keeps a frame from %d it neither heard at launch nor hears now", x, o.src)
+					}
+					continue
+				}
+				want++
+				if i < 0 {
+					t.Fatalf("air[%d] misses the frame from %d (audience pos %d, heard %v)", x, o.src, pos, heard)
+				}
+				e := m.air[x][i]
+				if e.pos != pos || e.heard != heard || heard && e.snrdB != m.SNR(o.src, id) {
+					t.Fatalf("air[%d] entry for the frame from %d = %+v, want pos %d heard %v snr %v",
+						x, o.src, e, pos, heard, m.SNR(o.src, id))
+				}
+			}
+		}
+	}
+	got := 0
+	for _, a := range m.air {
+		got += len(a)
+	}
+	if got != want {
+		t.Fatalf("in-flight index holds %d entries, want %d", got, want)
 	}
 }
 

@@ -10,27 +10,41 @@
 //
 // # Complexity model
 //
-// Per-transmission cost is proportional to the transmitter's neighborhood
-// degree, not the network size. The medium maintains an incrementally
-// sorted out-neighbor list per node (updated by SetConnected /
-// SetConnectedDirected in O(deg) each); every transmission captures its
-// audience — the attached radios in range — exactly once at launch, and
-// carrier sensing, collision marking, delivery and carrier release all
-// iterate that audience. Collision bookkeeping resets through a dirty-mark
-// list, so recycling a transmission is O(marked), not O(N).
+// Per-transmission cost is proportional to the transmitter's degree times
+// the number of frames in flight around it, not to the network size. The
+// link table keeps an incrementally sorted out-neighbor list per node with
+// each link's SNR stored inline beside it (the setters update both in
+// O(deg)). The medium keeps a per-node index of the in-flight transmissions
+// that concern that node. A launch walks its source's neighbor list once:
+// it captures the audience (the attached radios in range), marks collisions
+// at each audience member against the frames indexed there, and indexes the
+// new frame; finish unindexes it the same way. No step hashes, scans the
+// other frames on the air, or touches per-node state outside the
+// neighborhood, and the per-frame collision state is sized by the audience.
 //
-// Link state itself is sparse: the neighbor lists are the primary store,
-// backed by a hash/offset map from the packed (src, dst) pair to a slot in
-// a flat link-state array, so a directed lookup (connectivity + SNR in one
-// query) is O(1) and total memory is O(N·degree + SNR overrides) — never
-// the N×N matrix the seed kept. The seed's O(N) scan-every-radio launch and
-// finish survive only in the package tests, as the reference the indexed
-// hot paths are pinned against.
+// Mobility and fault injection can change a link while a frame is in
+// flight, so the time base of each step is part of the model:
+//   - Energy detect, delivery, carrier release and the half-duplex mark (a
+//     node that starts transmitting loses the frames it was receiving) use
+//     the audience captured at launch.
+//   - Collision marking uses the links as they are at the new frame's
+//     launch: an in-flight frame collides with it at an audience member
+//     whose radio is connected to the in-flight frame's source right now,
+//     with that link's current SNR as the interference level. The link
+//     setters repair the index when a link under a frame in flight changes.
+//   - Delivery reads the link SNR at finish.
+//
+// Link state itself is sparse: besides the neighbor lists, a hash map from
+// the packed (src, dst) pair to a slot in a flat link-state array answers
+// Connected/SNR queries and keeps SNR overrides on cut links, so memory is
+// O(N·degree + SNR overrides) — never the N×N matrix the seed kept. The
+// seed's O(N) scan-every-radio launch and finish survive only in the
+// package tests, as the reference the indexed hot paths are pinned against.
 package medium
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aggmac/internal/frame"
@@ -70,26 +84,29 @@ type link struct {
 }
 
 // LinkTable is the connectivity state of a network, stored sparsely: the
-// incrementally-maintained sorted neighbor lists are the primary store, and
-// a hash map from the packed (from, to) pair to a slot in a flat link-state
-// array gives O(1) directed lookup of connectivity and SNR together. Only
-// links that differ from the default — connected, or carrying an SNR
-// override — occupy a slot, so memory is O(N·degree + overrides) instead of
-// the seed's N×N matrix. A table is normally owned by a single Medium, but
-// the sharded engine shares one read-only table across every shard's
-// medium. Sharing contract: connectivity and SNR must not change while more
-// than one medium is attached (the parallel mesh path is static-topology
-// only and enforces this).
+// incrementally-maintained sorted neighbor lists, with each link's SNR
+// inline, are the primary store the hot paths read, and a hash map from the
+// packed (from, to) pair to a slot in a flat link-state array answers
+// directed Connected/SNR queries for any pair. Only links that differ from
+// the default — connected, or carrying an SNR override — occupy a slot, so
+// memory is O(N·degree + overrides) instead of the seed's N×N matrix. A
+// table is normally owned by a single Medium, but the sharded engine shares
+// one read-only table across every shard's medium. Sharing contract:
+// connectivity and SNR must not change while more than one medium is
+// attached (the parallel mesh path is static-topology only and enforces
+// this).
 type LinkTable struct {
 	n int
 	// defSNR is the SNR every non-self link reports until overridden
 	// (params.SNRdB at construction). Self pairs default to 0, matching the
 	// seed's zeroed matrix diagonal.
 	defSNR float64
-	// nbrs[src] lists, in ascending node id, every dst that can hear src.
-	// It is maintained incrementally by the connectivity setters and is
-	// what the hot paths iterate.
+	// nbrs[src] lists, in ascending node id, every dst that can hear src,
+	// and snrs[src][i] is the src→nbrs[src][i] SNR — a copy of the slot's
+	// value kept beside the list so the hot paths never hash. Both are
+	// maintained incrementally by the connectivity and SNR setters.
 	nbrs [][]NodeID
+	snrs [][]float64
 	// idx maps pairKey(from, to) to a slot index; slots holds the state and
 	// free recycles released slots. An entry exists iff the link is
 	// connected or its SNR differs from the directed pair's default.
@@ -115,6 +132,7 @@ func NewLinkTable(params phy.Params, n int) *LinkTable {
 		n:      n,
 		defSNR: params.SNRdB,
 		nbrs:   make([][]NodeID, n),
+		snrs:   make([][]float64, n),
 		idx:    make(map[uint64]int32),
 	}
 }
@@ -162,19 +180,16 @@ func (t *LinkTable) connected(from, to NodeID) bool {
 	return ok && t.slots[s].connected
 }
 
-// snrConnected returns the from→to SNR and whether to can hear from in a
-// single lookup — the hot paths' combined query.
-func (t *LinkTable) snrConnected(from, to NodeID) (float64, bool) {
-	if s, ok := t.idx[pairKey(from, to)]; ok {
-		return t.slots[s].snrdB, from != to && t.slots[s].connected
-	}
-	return t.defaultSNR(from, to), false
-}
-
-// snr returns the from→to SNR (the default when no slot exists).
+// snr returns the from→to SNR: the inline copy while the link is
+// connected, else the slot's override or the default.
 func (t *LinkTable) snr(from, to NodeID) float64 {
-	v, _ := t.snrConnected(from, to)
-	return v
+	if i, ok := slices.BinarySearch(t.nbrs[from], to); ok {
+		return t.snrs[from][i]
+	}
+	if s, ok := t.idx[pairKey(from, to)]; ok {
+		return t.slots[s].snrdB
+	}
+	return t.defaultSNR(from, to)
 }
 
 // setConnectedDirected cuts or restores the from→to direction, keeping the
@@ -195,14 +210,18 @@ func (t *LinkTable) setConnectedDirected(from, to NodeID, connected bool) bool {
 			t.idx[k] = s
 		}
 		t.slots[s].connected = true
-		t.nbrs[from] = insertSorted(t.nbrs[from], to)
+		i, _ := slices.BinarySearch(t.nbrs[from], to)
+		t.nbrs[from] = slices.Insert(t.nbrs[from], i, to)
+		t.snrs[from] = slices.Insert(t.snrs[from], i, t.slots[s].snrdB)
 		t.directed++
 	} else {
 		t.slots[s].connected = false
 		if t.slots[s].snrdB == t.defSNR {
 			t.release(k, s)
 		}
-		t.nbrs[from] = removeSorted(t.nbrs[from], to)
+		i, _ := slices.BinarySearch(t.nbrs[from], to)
+		t.nbrs[from] = slices.Delete(t.nbrs[from], i, i+1)
+		t.snrs[from] = slices.Delete(t.snrs[from], i, i+1)
 		t.directed--
 	}
 	return true
@@ -215,7 +234,10 @@ func (t *LinkTable) setSNRDirected(from, to NodeID, snrdB float64) {
 	k := pairKey(from, to)
 	if s, ok := t.idx[k]; ok {
 		t.slots[s].snrdB = snrdB
-		if !t.slots[s].connected && snrdB == t.defaultSNR(from, to) {
+		if t.slots[s].connected {
+			i, _ := slices.BinarySearch(t.nbrs[from], to)
+			t.snrs[from][i] = snrdB
+		} else if snrdB == t.defaultSNR(from, to) {
 			t.release(k, s)
 		}
 	} else if snrdB != t.defaultSNR(from, to) {
@@ -229,14 +251,16 @@ func (t *LinkTable) setSNRDirected(from, to NodeID, snrdB float64) {
 func (t *LinkTable) connectFull() {
 	for i := 0; i < t.n; i++ {
 		nb := make([]NodeID, 0, t.n-1)
+		snrs := make([]float64, 0, t.n-1)
 		for j := 0; j < t.n; j++ {
 			if i == j {
 				continue
 			}
 			t.idx[pairKey(NodeID(i), NodeID(j))] = t.alloc(link{connected: true, snrdB: t.defSNR})
 			nb = append(nb, NodeID(j))
+			snrs = append(snrs, t.defSNR)
 		}
-		t.nbrs[i] = nb
+		t.nbrs[i], t.snrs[i] = nb, snrs
 	}
 	t.directed = t.n * (t.n - 1)
 }
@@ -254,30 +278,34 @@ type transmission struct {
 	body       []byte
 	spans      []frame.Span
 	// audience is the set of attached in-range radios, captured once at
-	// launch (ascending node id); energy detect, collision marking,
-	// delivery and carrier release all iterate it.
+	// launch (ascending node id); energy detect, delivery and carrier
+	// release iterate it. collided and interfSNR are indexed like it.
 	audience  []NodeID
-	collided  []bool    // per node id, set when overlap observed
-	interfSNR []float64 // strongest interferer per node, for capture
-	// marked lists the node ids whose collided/interfSNR entries were
-	// touched, so recycling resets O(marked) entries instead of O(N).
-	marked    []NodeID
-	activeIdx int    // position in Medium.active, for O(1) removal
-	finishFn  func() // pooled txEnd callback: m.finish(this)
+	collided  []bool    // set when overlap observed at that audience member
+	interfSNR []float64 // strongest interferer there, for capture
+	finishFn  func()    // pooled txEnd callback: m.finish(this)
 }
 
-// addInterf records that dst's copy of this transmission overlapped an
-// interferer heard at snrdB, keeping the strongest interferer for capture.
-func (t *transmission) addInterf(dst NodeID, snrdB float64) {
-	if !t.collided[dst] {
-		t.collided[dst] = true
-		t.interfSNR[dst] = snrdB
-		t.marked = append(t.marked, dst)
-		return
+// addInterf records that the copy of this transmission at audience position
+// i overlapped an interferer heard at snrdB, keeping the strongest
+// interferer for capture.
+func (t *transmission) addInterf(i int32, snrdB float64) {
+	if !t.collided[i] || snrdB > t.interfSNR[i] {
+		t.collided[i] = true
+		t.interfSNR[i] = snrdB
 	}
-	if snrdB > t.interfSNR[dst] {
-		t.interfSNR[dst] = snrdB
-	}
+}
+
+// airEntry is one in-flight transmission in a node's index (Medium.air).
+type airEntry struct {
+	tx *transmission
+	// snrdB is the tx.src→node SNR, kept current while heard.
+	snrdB float64
+	// pos is the node's position in tx.audience, or -1 if the node was not
+	// in the audience at launch.
+	pos int32
+	// heard reports that tx.src is connected to the node right now.
+	heard bool
 }
 
 // Event is one observable channel event, for tracing.
@@ -341,15 +369,20 @@ type Medium struct {
 
 	radios []Radio
 	busy   []int // energy-detect refcount per node
-	txBusy []int // outstanding own transmissions per node (half duplex)
-	// tbl holds the link matrix and neighbor index. Normally private to
+	// air[x] indexes the in-flight transmissions that concern node x: those
+	// whose launch-time audience holds x, and those whose source is
+	// connected to x now (see the package comment for which step uses
+	// which). txOf[x] lists x's own in-flight transmissions, so a link
+	// change can repair air; a node with any is on the air (half duplex).
+	air  [][]airEntry
+	txOf [][]*transmission
+	// tbl holds the link state and neighbor index. Normally private to
 	// this medium; shard media share one read-only table (see LinkTable).
 	tbl *LinkTable
 	// boundary, when set, observes every locally-originated transmission at
 	// launch so the sharded engine can replay it into neighboring shards.
 	boundary func(ForeignFrame)
 
-	active   []*transmission
 	txFree   []*transmission // recycled transmissions (pooled arrays)
 	stats    Stats
 	observer Observer
@@ -362,7 +395,7 @@ type Medium struct {
 
 // New creates a medium for up to n nodes, fully connected at params.SNRdB.
 func New(sched *sim.Scheduler, params phy.Params, n int) *Medium {
-	m := newMedium(sched, params, n)
+	m := NewUnconnected(sched, params, n)
 	m.tbl.connectFull()
 	return m
 }
@@ -372,13 +405,14 @@ func New(sched *sim.Scheduler, params phy.Params, n int) *Medium {
 // sparse meshes onto it with SetConnected/SetSNR; starting empty keeps
 // construction O(E) instead of tearing down O(N²) default links.
 func NewUnconnected(sched *sim.Scheduler, params phy.Params, n int) *Medium {
-	return newMedium(sched, params, n)
+	return NewOnTable(sched, params, NewLinkTable(params, n))
 }
 
 // NewOnTable creates a medium that shares an existing link table instead of
 // owning one. The sharded engine gives every shard's medium the same table,
-// so one N² matrix serves the whole run; see LinkTable for the sharing
-// contract.
+// so one link store serves the whole run; see LinkTable for the sharing
+// contract. The in-flight index stays per medium: each shard indexes its
+// own and replayed frames.
 func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium {
 	n := tbl.N()
 	return &Medium{
@@ -387,52 +421,33 @@ func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium
 		errs:   phy.NewErrorCache(params),
 		radios: make([]Radio, n),
 		busy:   make([]int, n),
-		txBusy: make([]int, n),
+		air:    make([][]airEntry, n),
+		txOf:   make([][]*transmission, n),
 		tbl:    tbl,
 	}
 }
 
-func newMedium(sched *sim.Scheduler, params phy.Params, n int) *Medium {
-	return &Medium{
-		sched:  sched,
-		params: params,
-		errs:   phy.NewErrorCache(params),
-		radios: make([]Radio, n),
-		busy:   make([]int, n),
-		txBusy: make([]int, n),
-		tbl:    NewLinkTable(params, n),
-	}
-}
-
-// getTx pops a pooled transmission (or makes the pool's next one). The
-// collided/interfSNR entries were already reset by putTx via the dirty-mark
-// list, so acquisition is O(1) regardless of network size.
+// getTx pops a pooled transmission (or makes the pool's next one).
 func (m *Medium) getTx() *transmission {
 	var t *transmission
 	if n := len(m.txFree); n > 0 {
 		t = m.txFree[n-1]
 		m.txFree = m.txFree[:n-1]
 	} else {
-		t = &transmission{
-			collided:  make([]bool, len(m.radios)),
-			interfSNR: make([]float64, len(m.radios)),
-		}
+		t = &transmission{}
 		t.finishFn = func() { m.finish(t) }
 	}
 	return t
 }
 
-// putTx recycles a finished transmission, clearing only the collision
-// entries the run actually marked. The body is deliberately dropped, not
-// reused: receivers may retain subslices of it (see Radio.RxAggregate).
+// putTx recycles a finished transmission. The body is deliberately dropped,
+// not reused: receivers may retain subslices of it (see Radio.RxAggregate).
 func (m *Medium) putTx(t *transmission) {
 	t.body = nil
 	t.spans = t.spans[:0]
 	t.audience = t.audience[:0]
-	for _, id := range t.marked {
-		t.collided[id] = false
-	}
-	t.marked = t.marked[:0]
+	t.collided = t.collided[:0]
+	t.interfSNR = t.interfSNR[:0]
 	t.control = frame.Control{}
 	t.hdr = frame.PHYHeader{}
 	m.txFree = append(m.txFree, t)
@@ -471,26 +486,25 @@ func (m *Medium) SetConnected(a, b NodeID, connected bool) {
 
 // SetConnectedDirected cuts or restores only the from→to direction
 // (asymmetric links; useful for failure injection). The from-node's
-// neighbor list is updated in place, O(deg).
+// neighbor list is updated in place, O(deg), and so is the in-flight index
+// at to for any frame from is sending.
 func (m *Medium) SetConnectedDirected(from, to NodeID, connected bool) {
-	m.tbl.setConnectedDirected(from, to, connected)
-}
-
-// insertSorted adds id to the ascending list (caller guarantees absence).
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// removeSorted deletes id from the ascending list (caller guarantees
-// presence).
-func removeSorted(s []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+	if !m.tbl.setConnectedDirected(from, to, connected) {
+		return
+	}
+	for _, o := range m.txOf[from] {
+		i := m.airAt(to, o)
+		switch {
+		case connected && i >= 0: // back in range of a launch-time audience member
+			m.air[to][i].heard, m.air[to][i].snrdB = true, m.tbl.snr(from, to)
+		case connected:
+			m.air[to] = append(m.air[to], airEntry{tx: o, snrdB: m.tbl.snr(from, to), pos: -1, heard: true})
+		case m.air[to][i].pos >= 0: // still in the audience, no longer hears o
+			m.air[to][i].heard = false
+		default:
+			m.dropAir(to, i)
+		}
+	}
 }
 
 // SetCapture enables physical-layer capture: a frame survives a collision
@@ -502,8 +516,40 @@ func (m *Medium) SetCapture(marginDB float64) { m.captureDB = marginDB }
 // override persists even while the link is cut (mobility raises links back
 // with fresh SNR; fault injection relies on the stored value surviving).
 func (m *Medium) SetSNR(a, b NodeID, snrdB float64) {
-	m.tbl.setSNRDirected(a, b, snrdB)
-	m.tbl.setSNRDirected(b, a, snrdB)
+	m.setSNRDirected(a, b, snrdB)
+	m.setSNRDirected(b, a, snrdB)
+}
+
+// setSNRDirected overrides the from→to SNR and refreshes it in the in-flight
+// index for any frame from is sending.
+func (m *Medium) setSNRDirected(from, to NodeID, snrdB float64) {
+	m.tbl.setSNRDirected(from, to, snrdB)
+	for _, o := range m.txOf[from] {
+		if i := m.airAt(to, o); i >= 0 {
+			m.air[to][i].snrdB = snrdB
+		}
+	}
+}
+
+// airAt returns t's position in node x's in-flight index, or -1.
+func (m *Medium) airAt(x NodeID, t *transmission) int {
+	for i := range m.air[x] {
+		if m.air[x][i].tx == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropAir removes entry i from node x's in-flight index. Order within an
+// index carries no meaning (collision marks keep the maximum interferer),
+// so the tail entry fills the gap.
+func (m *Medium) dropAir(x NodeID, i int) {
+	a := m.air[x]
+	last := len(a) - 1
+	a[i] = a[last]
+	a[last] = airEntry{}
+	m.air[x] = a[:last]
 }
 
 // Table returns the medium's link table, for sharing with NewOnTable.
@@ -555,7 +601,7 @@ func (m *Medium) InjectForeign(ff ForeignFrame) {
 func (m *Medium) CarrierBusy(id NodeID) bool { return m.busy[id] > 0 }
 
 // Transmitting reports whether node id is itself on the air.
-func (m *Medium) Transmitting(id NodeID) bool { return m.txBusy[id] > 0 }
+func (m *Medium) Transmitting(id NodeID) bool { return len(m.txOf[id]) > 0 }
 
 // ControlAirtime is the on-air time of a control frame: preamble plus its
 // bytes at the control rate.
@@ -609,17 +655,6 @@ func (m *Medium) TransmitAggregate(src NodeID, agg *frame.Aggregate) time.Durati
 	return d
 }
 
-// captureAudience fills t.audience with every attached radio in range of
-// t.src, ascending by node id, by walking the neighbor list: O(deg).
-func (m *Medium) captureAudience(t *transmission) {
-	t.audience = t.audience[:0]
-	for _, nid := range m.tbl.nbrs[t.src] {
-		if m.radios[nid] != nil {
-			t.audience = append(t.audience, nid)
-		}
-	}
-}
-
 func (m *Medium) launch(t *transmission) {
 	m.stats.AirtimeTotal += t.end - t.start
 	m.enter(t)
@@ -632,40 +667,46 @@ func (m *Medium) launch(t *transmission) {
 	}
 }
 
-// enter puts t on the air: audience capture, mutual collision marking,
-// energy detect, and the scheduled finish. Shared by local launches (where
-// t.start == now) and foreign injections (where t.start is up to the engine
-// lookahead in the past).
+// enter puts t on the air: half-duplex deafening, audience capture,
+// mutual collision marking, indexing, energy detect, and the scheduled
+// finish. Shared by local launches (where t.start == now) and foreign
+// injections (where t.start is up to the engine lookahead in the past).
+// Frames whose end is at or before t.start are on their way out and never
+// overlap t.
 func (m *Medium) enter(t *transmission) {
-	m.captureAudience(t)
-
-	// Mark collisions both ways against transmissions already on the air,
-	// and deafen in-progress receptions at the new transmitter (half
-	// duplex: transmitting while a frame is arriving loses that frame).
-	// Only the new frame's audience needs scanning: a node outside it
-	// cannot hear t, so neither reception there can newly overlap t. Nodes
-	// with no radio attached are skipped outright — the seed marked
-	// collided/interfSNR for them too, wasted work nothing ever read.
-	for _, other := range m.active {
-		if other.end <= t.start {
-			continue
-		}
-		// The new transmitter deafens itself to in-flight receptions; its
-		// own signal is infinitely strong, so capture can never save them.
-		other.addInterf(t.src, 1e9)
-		for _, nid := range t.audience {
-			osnr, ok := m.tbl.snrConnected(other.src, nid)
-			if !ok {
-				continue
-			}
-			// nid hears both transmitters: both frames are damaged there.
-			t.addInterf(nid, osnr)
-			other.addInterf(nid, m.tbl.snr(t.src, nid))
+	// The new transmitter deafens itself to the receptions in progress at
+	// it; its own signal is infinitely strong, so capture can never save
+	// them.
+	for _, e := range m.air[t.src] {
+		if e.pos >= 0 && e.tx.end > t.start {
+			e.tx.addInterf(e.pos, 1e9)
 		}
 	}
-	t.activeIdx = len(m.active)
-	m.active = append(m.active, t)
-	m.txBusy[t.src]++
+	// One walk of the source's neighbor list captures the audience, marks
+	// collisions both ways at each audience member against the in-flight
+	// frames it hears now (both frames are damaged there), and indexes t.
+	// Nodes with no radio attached are indexed but never marked.
+	nbrs, snrs := m.tbl.nbrs[t.src], m.tbl.snrs[t.src]
+	for j, nid := range nbrs {
+		snr, pos := snrs[j], int32(-1)
+		if m.radios[nid] != nil {
+			pos = int32(len(t.audience))
+			t.audience = append(t.audience, nid)
+			t.collided = append(t.collided, false)
+			t.interfSNR = append(t.interfSNR, 0)
+			for _, e := range m.air[nid] {
+				if !e.heard || e.tx.end <= t.start {
+					continue
+				}
+				t.addInterf(pos, e.snrdB)
+				if e.pos >= 0 {
+					e.tx.addInterf(e.pos, snr)
+				}
+			}
+		}
+		m.air[nid] = append(m.air[nid], airEntry{tx: t, snrdB: snr, pos: pos, heard: true})
+	}
+	m.txOf[t.src] = append(m.txOf[t.src], t)
 
 	// Energy detect at every node in range.
 	for _, nid := range t.audience {
@@ -679,23 +720,36 @@ func (m *Medium) enter(t *transmission) {
 }
 
 func (m *Medium) finish(t *transmission) {
-	m.txBusy[t.src]--
-	// O(1) removal from the active list: swap the tail into our slot.
-	last := len(m.active) - 1
-	if i := t.activeIdx; i != last {
-		m.active[i] = m.active[last]
-		m.active[i].activeIdx = i
+	own := m.txOf[t.src]
+	k := slices.Index(own, t)
+	own[k] = own[len(own)-1]
+	own[len(own)-1] = nil
+	m.txOf[t.src] = own[:len(own)-1]
+
+	// Unindex t wherever it has an entry: its launch-time audience and its
+	// source's current neighbors, merged (both ascend).
+	nbrs := m.tbl.nbrs[t.src]
+	j := 0
+	for _, nid := range t.audience {
+		for ; j < len(nbrs) && nbrs[j] < nid; j++ {
+			m.dropAir(nbrs[j], m.airAt(nbrs[j], t))
+		}
+		if j < len(nbrs) && nbrs[j] == nid {
+			j++
+		}
+		m.dropAir(nid, m.airAt(nid, t))
 	}
-	m.active[last] = nil
-	m.active = m.active[:last]
+	for ; j < len(nbrs); j++ {
+		m.dropAir(nbrs[j], m.airAt(nbrs[j], t))
+	}
 
 	// Deliver to the audience captured at launch, then release carrier.
 	// Delivery happens before idle notifications so MACs see the frame
 	// before they resume backoff. Using the launch-time audience keeps the
 	// busy refcount balanced even if connectivity changed mid-flight (the
 	// seed re-evaluated the matrix here and could leak a refcount).
-	for _, nid := range t.audience {
-		m.deliver(t, nid)
+	for i := range t.audience {
+		m.deliver(t, i)
 	}
 	for _, nid := range t.audience {
 		m.busy[nid]--
@@ -706,8 +760,11 @@ func (m *Medium) finish(t *transmission) {
 	m.putTx(t)
 }
 
-func (m *Medium) deliver(t *transmission, dst NodeID) {
-	if m.txBusy[dst] > 0 {
+// deliver hands t to its audience member at position i, reading the link
+// SNR as it is now.
+func (m *Medium) deliver(t *transmission, i int) {
+	dst := t.audience[i]
+	if len(m.txOf[dst]) > 0 {
 		// Half duplex: a node on the air cannot decode. (Sufficient
 		// because every transmission that overlapped ours in any way is
 		// still counted busy at our end time only if it is still active;
@@ -719,8 +776,8 @@ func (m *Medium) deliver(t *transmission, dst NodeID) {
 		return
 	}
 	snr := m.tbl.snr(t.src, dst)
-	if t.collided[dst] {
-		captured := m.captureDB > 0 && snr-t.interfSNR[dst] >= m.captureDB
+	if t.collided[i] {
+		captured := m.captureDB > 0 && snr-t.interfSNR[i] >= m.captureDB
 		if !captured {
 			m.stats.Collisions++
 			m.emit(Event{Kind: "collision", Src: t.src, Dst: dst})

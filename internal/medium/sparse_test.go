@@ -17,6 +17,7 @@ import (
 // the production store.
 type shadowTable struct {
 	n         int
+	defSNR    float64
 	connected [][]bool
 	snr       [][]float64
 }
@@ -24,6 +25,7 @@ type shadowTable struct {
 func newShadowTable(params phy.Params, n int) *shadowTable {
 	st := &shadowTable{
 		n:         n,
+		defSNR:    params.SNRdB,
 		connected: make([][]bool, n),
 		snr:       make([][]float64, n),
 	}
@@ -52,8 +54,8 @@ func (st *shadowTable) setSNR(a, b int, v float64) {
 }
 
 // check compares every observable of the medium's link state against the
-// shadow matrix: directed connectivity, directed SNR, the neighbor lists,
-// degrees, and the directed-link count.
+// shadow matrix: directed connectivity, directed SNR, the neighbor lists
+// and their inline SNR copies, degrees, and the directed-link count.
 func (st *shadowTable) check(t *testing.T, m *Medium, step int) {
 	t.Helper()
 	directed := 0
@@ -80,6 +82,9 @@ func (st *shadowTable) check(t *testing.T, m *Medium, step int) {
 			if got[i] != wantNbrs[i] {
 				t.Fatalf("step %d: Neighbors(%d) = %v, shadow oracle %v", step, a, got, wantNbrs)
 			}
+			if inline, want := m.tbl.snrs[a][i], st.snr[a][got[i]]; inline != want {
+				t.Fatalf("step %d: inline SNR %d→%d = %v, shadow oracle %v", step, a, got[i], inline, want)
+			}
 		}
 		if m.Degree(NodeID(a)) != len(wantNbrs) {
 			t.Fatalf("step %d: Degree(%d) = %d, want %d", step, a, m.Degree(NodeID(a)), len(wantNbrs))
@@ -92,14 +97,17 @@ func (st *shadowTable) check(t *testing.T, m *Medium, step int) {
 
 // checkTableInvariants asserts the sparse store's internal consistency:
 // sorted strictly-ascending neighbor lists that agree with the index map,
-// slot/free-list accounting, and minimality (no slot holds a
-// back-to-default link).
+// inline SNR copies equal to their slots, slot/free-list accounting, and
+// minimality (no slot holds a back-to-default link).
 func checkTableInvariants(t *testing.T, tbl *LinkTable, step int) {
 	t.Helper()
 	directed := 0
 	for a := 0; a < tbl.n; a++ {
 		nbrs := tbl.nbrs[a]
 		directed += len(nbrs)
+		if len(tbl.snrs[a]) != len(nbrs) {
+			t.Fatalf("step %d: node %d has %d neighbors but %d inline SNRs", step, a, len(nbrs), len(tbl.snrs[a]))
+		}
 		for i, b := range nbrs {
 			if i > 0 && nbrs[i-1] >= b {
 				t.Fatalf("step %d: nbrs[%d] not strictly ascending: %v", step, a, nbrs)
@@ -107,6 +115,9 @@ func checkTableInvariants(t *testing.T, tbl *LinkTable, step int) {
 			s, ok := tbl.idx[pairKey(NodeID(a), b)]
 			if !ok || !tbl.slots[s].connected {
 				t.Fatalf("step %d: nbrs[%d] lists %d but the index disagrees", step, a, b)
+			}
+			if tbl.snrs[a][i] != tbl.slots[s].snrdB {
+				t.Fatalf("step %d: inline SNR %d→%d = %v, slot holds %v", step, a, b, tbl.snrs[a][i], tbl.slots[s].snrdB)
 			}
 		}
 	}
@@ -139,9 +150,17 @@ func checkTableInvariants(t *testing.T, tbl *LinkTable, step int) {
 	}
 }
 
-// applyOp drives one churn operation into both the medium and the shadow
+// linkSetter is the link-editing surface applyOp drives: a Medium, or a
+// reference run's bare table (refLinks).
+type linkSetter interface {
+	SetConnected(a, b NodeID, on bool)
+	SetConnectedDirected(a, b NodeID, on bool)
+	SetSNR(a, b NodeID, v float64)
+}
+
+// applyOp drives one churn operation into both the links and the shadow
 // oracle. op selects the kind; a, b, v parameterize it.
-func applyOp(m *Medium, st *shadowTable, op int, a, b int, v float64) {
+func applyOp(m linkSetter, st *shadowTable, op int, a, b int, v float64) {
 	na, nb := NodeID(a), NodeID(b)
 	switch op % 7 {
 	case 0: // bidirectional raise/cut
@@ -169,8 +188,8 @@ func applyOp(m *Medium, st *shadowTable, op int, a, b int, v float64) {
 		}
 	case 6: // SNR back to the calibrated default (slot must be reclaimed
 		// if the link is also down)
-		m.SetSNR(na, nb, m.Params().SNRdB)
-		st.setSNR(a, b, m.Params().SNRdB)
+		m.SetSNR(na, nb, st.defSNR)
+		st.setSNR(a, b, st.defSNR)
 	}
 }
 
