@@ -143,25 +143,9 @@ func BenchmarkMeshDisk100BA(b *testing.B) {
 	benchMesh(b, experiments.ScalingCell(core.MeshDisk, mac.BA, 100, 0))
 }
 
-// The sharded variants run the identical scaling cell on the parallel
-// engine; against their serial twins they price the conservative
-// synchronization (and, on multi-core hardware, measure its speedup —
-// compare simsec/sec). The 1600-node cell is the largest mesh the repo
-// benchmarks and the regime the shard partition is designed for: at 4
-// shards each strip is 10 grid columns, so boundary traffic is a small
-// fraction of the whole.
-func BenchmarkMeshGrid400BAShard4(b *testing.B) {
-	cfg := experiments.ScalingCell(core.MeshGrid, mac.BA, 400, 0)
-	cfg.Shards = 4
-	benchMesh(b, cfg)
-}
+// The 1600-node cell is the largest mesh the repo benchmarks.
 func BenchmarkMeshGrid1600BA(b *testing.B) {
 	benchMesh(b, experiments.ScalingCell(core.MeshGrid, mac.BA, 1600, 0))
-}
-func BenchmarkMeshGrid1600BAShard4(b *testing.B) {
-	cfg := experiments.ScalingCell(core.MeshGrid, mac.BA, 1600, 0)
-	cfg.Shards = 4
-	benchMesh(b, cfg)
 }
 
 // BenchmarkMeshGridWaypointBA is the mobility experiment's hottest cell

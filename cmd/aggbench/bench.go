@@ -98,17 +98,8 @@ func headlineBenches() []benchCase {
 		meshCase("BenchmarkMeshGrid400BA", experiments.ScalingCell(core.MeshGrid, mac.BA, 400, 0)),
 		meshCase("BenchmarkMeshDisk100BA", experiments.ScalingCell(core.MeshDisk, mac.BA, 100, 0)),
 	}
-	// Sharded twins of the scaling cells: identical scenarios on the
-	// parallel engine, so the baseline pins the conservative
-	// synchronization's overhead (single-core) or speedup (multi-core).
-	shard400 := experiments.ScalingCell(core.MeshGrid, mac.BA, 400, 0)
-	shard400.Shards = 4
-	cases = append(cases, meshCase("BenchmarkMeshGrid400BAShard4", shard400))
 	cases = append(cases, meshCase("BenchmarkMeshGrid1600BA",
 		experiments.ScalingCell(core.MeshGrid, mac.BA, 1600, 0)))
-	shard1600 := experiments.ScalingCell(core.MeshGrid, mac.BA, 1600, 0)
-	shard1600.Shards = 4
-	cases = append(cases, meshCase("BenchmarkMeshGrid1600BAShard4", shard1600))
 	cases = append(cases, meshCase("BenchmarkMeshGridWaypointBA",
 		experiments.MobilityCell(mac.BA, 4, 500*time.Millisecond, 0)))
 	// The workload engine's own cells: the offered-load experiment's

@@ -145,7 +145,6 @@ func main() {
 
 		metricsPath = flag.String("metrics", "", "write simulated-time telemetry series as JSONL to this file (single, mesh and scenario runs)")
 		metricsIv   = flag.Duration("metrics-interval", telemetry.DefaultInterval, "with -metrics: simulated-time sampling interval")
-		chromeTrace = flag.String("chrome-trace", "", "write a chrome://tracing trace-event file of per-shard wall-clock spans (sharded mesh runs; not deterministic)")
 		blockProf   = flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
 		mutexProf   = flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 
@@ -161,7 +160,6 @@ func main() {
 		chainHops = flag.Int("chain-hops", 4, "mesh chains: hops per chain")
 		crossFl   = flag.Int("cross-flows", 0, "mesh chains: vertical cross-traffic flows")
 		minHops   = flag.Int("min-hops", 2, "mesh grid/disk: minimum route length for sampled flows")
-		shards    = flag.Int("shards", 0, "mesh: run the event core on N parallel shards (0 = sequential; static -topo only; 1 is bit-identical to sequential)")
 
 		mobility = flag.String("mobility", "", "mesh: mobility model: waypoint | drift (empty = static)")
 		speed    = flag.Float64("speed", 1, "mesh mobility: node speed in spacing units per second")
@@ -226,8 +224,13 @@ func main() {
 		// side output the cache could neither replay nor invalidate on.
 		fatal(fmt.Errorf("-metrics cannot be combined with -store"))
 	}
-	if *chromeTrace != "" && (*topo == "" || *shards <= 0) {
-		fatal(fmt.Errorf("-chrome-trace requires a sharded mesh run (-topo with -shards >= 1)"))
+	// The mobility flags also feed ad-hoc workloads, and -move-interval
+	// paces fault injection too, so reject bad values wherever they land.
+	if *speed < 0 || *pause < 0 {
+		fatal(fmt.Errorf("-speed and -pause must not be negative"))
+	}
+	if *moveIv <= 0 {
+		fatal(fmt.Errorf("-move-interval must be positive"))
 	}
 	faultCfg, err := faultConfig(*crashMTBF, *crashMTTR, *flapRate, *flapDown, *partitions, *snrBurst, *snrBurstDB)
 	if err != nil {
@@ -295,9 +298,6 @@ func main() {
 		if *flows != 0 || *crossFl != 0 {
 			fatal(fmt.Errorf("-flows/-cross-flows do not apply in workload mode (the engine samples its own flows)"))
 		}
-		if *shards != 0 {
-			fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
-		}
 		if faultCfg != nil {
 			fatal(fmt.Errorf("fault flags apply to -topo mesh runs only, not workload mode"))
 		}
@@ -348,6 +348,10 @@ func main() {
 		if *traffic != "tcp" {
 			fatal(fmt.Errorf("-topo supports TCP traffic only"))
 		}
+		// Chains size themselves from -chains/-chain-hops and ignore -nodes.
+		if *topo != core.MeshChains && *nodes < 4 {
+			fatal(fmt.Errorf("-topo %s needs -nodes >= 4, got %d", *topo, *nodes))
+		}
 		if len(schemes) > 1 || len(rates) > 1 || len(hops) > 1 || *reps > 1 {
 			fatal(fmt.Errorf("-topo cannot be combined with a parameter sweep"))
 		}
@@ -357,34 +361,17 @@ func main() {
 		if *storeDir != "" {
 			fatal(fmt.Errorf("-store applies to sweeps and scenario runs, not single mesh runs"))
 		}
-		if *shards < 0 || *shards > core.MaxShards {
-			fatal(fmt.Errorf("-shards must be in 0..%d", core.MaxShards))
-		}
-		if *shards > 0 {
-			switch {
-			case *mobility != "":
-				fatal(fmt.Errorf("-shards supports static topologies only (drop -mobility)"))
-			case traceTo != nil:
-				fatal(fmt.Errorf("-shards cannot stream the channel timeline (drop -trace)"))
-			case faultCfg != nil:
-				fatal(fmt.Errorf("-shards cannot run with fault injection (drop the fault flags)"))
-			}
-		}
 		runMesh(meshArgs{
 			topo: *topo, scheme: schemes[0], rate: rates[0],
 			nodes: *nodes, flows: *flows, chains: *chains, chainHops: *chainHops,
-			crossFlows: *crossFl, minHops: *minHops, shards: *shards,
+			crossFlows: *crossFl, minHops: *minHops,
 			mobility: *mobility, speed: *speed, pause: *pause, moveIv: *moveIv,
 			faults: faultCfg,
 			file:   *file, agg: *agg, seed: *seed, verbose: *verbose,
 			jsonOut: *jsonOut, traceTo: traceTo, traceNodes: traceNodes,
 			traceFormat: *traceFmt, metrics: *metricsPath, metricsIv: *metricsIv,
-			chromeTrace: *chromeTrace,
 		})
 		return
-	}
-	if *shards != 0 {
-		fatal(fmt.Errorf("-shards applies to static -topo TCP runs only"))
 	}
 	if faultCfg != nil {
 		fatal(fmt.Errorf("fault flags apply to -topo mesh runs only"))
@@ -706,7 +693,6 @@ type meshArgs struct {
 	chains, chainHops int
 	crossFlows        int
 	minHops           int
-	shards            int
 	mobility          string
 	speed             float64
 	pause, moveIv     time.Duration
@@ -720,7 +706,6 @@ type meshArgs struct {
 	traceFormat       string
 	metrics           string
 	metricsIv         time.Duration
-	chromeTrace       string
 }
 
 // faultConfig assembles the fault-injection config from the CLI flags; it
@@ -778,28 +763,14 @@ func runMesh(a meshArgs) {
 		Scheme: a.scheme, Rate: a.rate,
 		Topology: a.topo, Nodes: a.nodes, Flows: a.flows,
 		Chains: a.chains, ChainHops: a.chainHops, CrossFlows: a.crossFlows,
-		MinHops: a.minHops, Shards: a.shards,
+		MinHops:  a.minHops,
 		Mobility: a.mobility, Speed: a.speed, Pause: a.pause, MoveInterval: a.moveIv,
 		Faults:    a.faults,
 		FileBytes: a.file, MaxAggBytes: a.agg, Seed: a.seed,
 		TraceTo: a.traceTo, TraceNodes: a.traceNodes,
 		TraceFormat: a.traceFormat, Metrics: rec,
 	}
-	var chromeFile *os.File
-	if a.chromeTrace != "" {
-		var err error
-		if chromeFile, err = os.Create(a.chromeTrace); err != nil {
-			runFail(err)
-		}
-		cfg.ShardTrace = chromeFile
-	}
 	res := core.RunMeshTCP(cfg)
-	if chromeFile != nil {
-		if err := chromeFile.Close(); err != nil {
-			runFail(err)
-		}
-		fmt.Fprintf(os.Stderr, "aggsim: chrome trace written to %s\n", a.chromeTrace)
-	}
 	writeMetrics(rec, a.metrics)
 	if a.jsonOut {
 		writeJSON(jsonResult{Kind: "mesh", Mesh: &res, Telemetry: rec.Summary()})
@@ -807,9 +778,6 @@ func runMesh(a meshArgs) {
 	}
 	fmt.Printf("scheme=%s rate=%v topology=%s nodes=%d links=%d avg-degree=%.1f\n",
 		a.scheme.Name(), a.rate, a.topo, res.NodeCount, res.LinkCount, res.AvgDegree)
-	if res.Shards > 0 {
-		fmt.Printf("parallel engine: %d shards, %d events executed\n", res.Shards, res.EventsRun)
-	}
 	if a.mobility != "" {
 		fmt.Printf("mobility=%s speed=%g interval=%v: %d link ups, %d link downs, %d route flaps over %d recomputes\n",
 			a.mobility, a.speed, a.moveIv,

@@ -117,31 +117,6 @@ func hashMesh(cfg core.MeshTCPConfig) (string, uint64) {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(w.String()))), res.EventsRun
 }
 
-// meshParallelGolden pins the sharded engine: a K-shard run is documented as
-// a pure function of (config, K), so its full result hashes just like a
-// sequential mesh run. These entries catch any change that perturbs the
-// shard partition, boundary replay order, or per-shard RNG streams.
-func meshParallelGolden(topo string, scheme mac.Scheme, shards int) (string, uint64) {
-	res := core.RunMeshTCP(core.MeshTCPConfig{
-		Scheme: scheme, Rate: phy.Rate2600k,
-		Topology: topo, Nodes: 36, Flows: 4,
-		FileBytes: 8_000, Seed: 1, Shards: shards,
-		Deadline: 300 * time.Second,
-	})
-	var w strings.Builder
-	fmt.Fprintf(&w, "mesh-par topo=%s scheme=%s shards=%d nodes=%d links=%d deg=%s completed=%v elapsed=%d events=%d\n",
-		topo, scheme.Name(), res.Shards, res.NodeCount, res.LinkCount, hexFloat(res.AvgDegree),
-		res.Completed, int64(res.Elapsed), res.EventsRun)
-	fmt.Fprintf(&w, "agg=%s min=%s mean=%s done=%d\n",
-		hexFloat(res.AggregateMbps), hexFloat(res.MinMbps), hexFloat(res.MeanMbps), res.FlowsDone)
-	for _, f := range res.Flows {
-		fmt.Fprintf(&w, "flow %d->%d hops=%d done=%v finish=%d mbps=%s\n",
-			int(f.Server), int(f.Client), f.Hops, f.Done, int64(f.Finish), hexFloat(f.Mbps))
-	}
-	hashNodes(&w, res.Nodes)
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(w.String()))), res.EventsRun
-}
-
 // mobilityGolden pins the full time-varying pipeline: a seeded mobile-mesh
 // run — waypoint or drift motion, delta link reconciliation, periodic
 // route recomputation — hashed like meshGolden plus the churn counters
@@ -303,18 +278,6 @@ func runGoldens(scale bool) map[string]goldenEntry {
 		got["mesh-grid/"+s.Name()] = goldenEntry{Hash: h, EventsRun: ev}
 		h, ev = meshGolden(core.MeshDisk, s)
 		got["mesh-disk/"+s.Name()] = goldenEntry{Hash: h, EventsRun: ev}
-	}
-	for _, pc := range []struct {
-		topo   string
-		scheme mac.Scheme
-		shards int
-	}{
-		{core.MeshGrid, mac.BA, 2},
-		{core.MeshGrid, mac.BA, 4},
-		{core.MeshDisk, mac.UA, 2},
-	} {
-		h, ev := meshParallelGolden(pc.topo, pc.scheme, pc.shards)
-		got[fmt.Sprintf("mesh-par%d-%s/%s", pc.shards, pc.topo, pc.scheme.Name())] = goldenEntry{Hash: h, EventsRun: ev}
 	}
 	for _, mc := range []struct {
 		kind   string

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -150,22 +149,6 @@ func TestRunMeshTCPFaultsWithMobility(t *testing.T) {
 	if a.NodeCrashes == 0 {
 		t.Error("no crashes at 20 s MTBF over the mobile run")
 	}
-}
-
-// The sharded engine rejects fault injection loudly.
-func TestRunMeshTCPFaultsRejectsShards(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Shards>0 with Faults did not panic")
-		}
-		if !strings.Contains(r.(string), "sequential engine") {
-			t.Fatalf("wrong panic: %v", r)
-		}
-	}()
-	cfg := quickFaultCfg()
-	cfg.Shards = 2
-	RunMeshTCP(cfg)
 }
 
 // The wall-clock watchdog converts a hung run into a typed panic without

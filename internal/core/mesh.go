@@ -77,16 +77,6 @@ type MeshTCPConfig struct {
 	FileBytes int
 	// MaxAggBytes caps aggregation; defaults to 5120.
 	MaxAggBytes int
-	// Shards selects the sharded parallel engine: the mesh is partitioned
-	// into Shards contiguous spatial domains, each running its own event
-	// loop, synchronized conservatively with lookahead ShardLookahead (see
-	// mesh_parallel.go). 0 (default) runs the sequential engine. Shards: 1
-	// is byte-identical to sequential; Shards > 1 is statistically
-	// equivalent (cross-shard carrier sense inside the first lookahead
-	// window of a frame is approximated) and deterministic for a given
-	// shard count. Static topologies only: Mobility, Faults and TraceTo
-	// are rejected.
-	Shards int
 	// Mobility selects a node-motion model: "" (static, the default),
 	// MobilityWaypoint or MobilityDrift. Moving nodes change link
 	// existence and SNR with distance; every MoveInterval the positions
@@ -106,7 +96,7 @@ type MeshTCPConfig struct {
 	// crashed node's MAC is detached and reset, its TCP connections are
 	// aborted in place, and flows terminating at it are marked killed;
 	// links cut by faults reconcile through the same incremental paths
-	// mobility uses. Sequential engine only: rejected with Shards > 0.
+	// mobility uses.
 	Faults *faults.Config
 	// WallBudget bounds the run's real elapsed time; past it the scheduler
 	// panics with *sim.WallBudgetError (the runner converts that into a
@@ -120,14 +110,10 @@ type MeshTCPConfig struct {
 	TraceTo     io.Writer
 	TraceNodes  []int
 	TraceFormat string
-	// Metrics samples the telemetry catalog on simulated-time ticks —
-	// per shard on parallel runs. nil schedules nothing, so the event
-	// sequence and golden hashes are untouched.
+	// Metrics samples the telemetry catalog on simulated-time ticks. nil
+	// schedules nothing, so the event sequence and golden hashes are
+	// untouched.
 	Metrics *telemetry.Recorder
-	// ShardTrace, with Shards > 0, receives a Chrome trace-event file of
-	// per-shard run/blocked wall-clock spans after the run — the shard
-	// imbalance view. Wall-clock by nature, so never deterministic.
-	ShardTrace io.Writer
 	// TCP overrides the transport config; zero value means defaults.
 	TCP tcp.Config
 	// Phy overrides the channel constants; nil means calibrated defaults.
@@ -166,11 +152,10 @@ type MeshResult struct {
 	Completed bool
 	// Elapsed is the slowest completed flow's finish time.
 	Elapsed time.Duration
-	// EventsRun pins the executed-event count for determinism tests (the
-	// sum over shards on parallel runs).
+	// EventsRun pins the executed-event count for determinism tests.
 	EventsRun uint64
-	// Shards records the engine that produced the run: 0 for the
-	// sequential scheduler, otherwise the parallel shard count.
+	// Shards is always 0. It remains only so the result's JSON encoding,
+	// which perfbench/digests.json pins by hash, keeps its shape.
 	Shards int
 	// Topology shape: NodeCount is fixed; LinkCount and AvgDegree are
 	// measured at the end of the run (mobility churns them).
@@ -243,8 +228,7 @@ func (c *MeshTCPConfig) phyParams() phy.Params {
 	return phy.DefaultParams()
 }
 
-// optsFor returns node i's MAC options (shared by the sequential build and
-// the sharded rebuild, which must configure identical MACs).
+// optsFor returns node i's MAC options.
 func (c *MeshTCPConfig) optsFor(i, n int) mac.Options {
 	opts := mac.DefaultOptions(c.Scheme, c.Rate)
 	opts.MaxAggBytes = c.MaxAggBytes
@@ -508,17 +492,12 @@ func startDynamics(m *topology.Mesh, model string, speed float64, pause, interva
 
 // RunMeshTCP executes the experiment: build the mesh, start every flow
 // (staggered a few hundred µs apart so the initial SYNs do not collide on
-// identical backoff draws), run to completion or deadline. With Shards set
-// the run executes on the sharded parallel engine instead of the
-// sequential scheduler (see mesh_parallel.go).
+// identical backoff draws), run to completion or deadline.
 func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	cfg.fill()
 	tcfg := cfg.TCP
 	if tcfg.MSS == 0 {
 		tcfg = tcp.DefaultConfig()
-	}
-	if cfg.Shards > 0 {
-		return runMeshTCPSharded(cfg, tcfg)
 	}
 
 	m := cfg.buildMesh()
@@ -533,8 +512,7 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 		stacks[i] = tcp.NewStack(m.Sched, node, tcfg)
 	}
 
-	killFlow := wireFlows(&cfg, flows, stacks,
-		func(network.NodeID) *sim.Scheduler { return m.Sched }, m.Sched.Halt)
+	killFlow := wireFlows(&cfg, flows, stacks, m.Sched)
 
 	churn := startDynamics(m, cfg.Mobility, cfg.Speed, cfg.Pause, cfg.MoveInterval,
 		cfg.Faults, cfg.Seed, dynamicsHooks{
@@ -560,39 +538,32 @@ func RunMeshTCP(cfg MeshTCPConfig) MeshResult {
 	}
 	m.Sched.RunUntil(cfg.Deadline)
 
-	return assembleMeshResult(&cfg, flows, m.Nodes, m.LinkCount, m.AvgDegree(), churn,
-		m.Sched.EventsRun(), m.Sched.Now())
+	return assembleMeshResult(&cfg, flows, m, churn)
 }
 
 // wireFlows installs every planned flow: a listener plus completion
-// bookkeeping on the client's scheduler, and a staggered connect event on
-// the server's. onAllDone (when non-nil) fires as the last flow completes;
-// parallel runs with more than one shard pass nil — flow completions land
-// on different goroutines there, and the run drains to the deadline
-// deterministically instead of halting early. The returned func marks
-// every live flow terminating at the given node as fault-killed (the
-// crash hook calls it); killed flows count toward onAllDone so a run
-// whose remaining flows all die still halts early.
+// bookkeeping at the client, and a staggered connect event at the server.
+// The run halts as the last flow settles. The returned func marks every
+// live flow terminating at the given node as fault-killed (the crash hook
+// calls it); killed flows settle too, so a run whose remaining flows all
+// die still halts early.
 func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
-	schedFor func(network.NodeID) *sim.Scheduler, onAllDone func()) func(network.NodeID) {
+	sched *sim.Scheduler) func(network.NodeID) {
 	remaining := len(flows)
-	settle := func(f *meshFlow) {
-		if onAllDone != nil {
-			remaining--
-			if remaining == 0 {
-				onAllDone()
-			}
+	settle := func() {
+		remaining--
+		if remaining == 0 {
+			sched.Halt()
 		}
 	}
 	for i, f := range flows {
 		i, f := i, f
-		cli := schedFor(f.client)
 		lis := stacks[f.client].Listen(f.port)
 		var got int64
 		lis.Setup = func(conn *tcp.Conn) {
 			conn.OnData = func(b []byte) {
 				got += int64(len(b))
-				now := cli.Now()
+				now := sched.Now()
 				if gap := now - f.lastProgress; gap > f.maxStall {
 					f.maxStall = gap
 				}
@@ -600,15 +571,15 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 				if !f.done && !f.killed && got >= int64(cfg.FileBytes) {
 					f.done = true
 					f.finish = now
-					settle(f)
+					settle()
 				}
 			}
 			conn.OnPeerClose = func() { conn.Close() }
 		}
 		start := time.Duration(i) * 150 * time.Microsecond
-		schedFor(f.server).After(start, "mesh:connect", func() {
+		sched.After(start, "mesh:connect", func() {
 			f.started = true
-			f.lastProgress = schedFor(f.server).Now()
+			f.lastProgress = sched.Now()
 			conn := stacks[f.server].Connect(f.client, f.port)
 			data := make([]byte, cfg.FileBytes)
 			conn.OnEstablished = func() {
@@ -623,22 +594,22 @@ func wireFlows(cfg *MeshTCPConfig, flows []*meshFlow, stacks []*tcp.Stack,
 				continue
 			}
 			f.killed = true
-			settle(f)
+			settle()
 		}
 	}
 }
 
-// assembleMeshResult turns the finished run's state into a MeshResult;
-// shared by the sequential and sharded paths. end is the run's final
-// simulated time, used for availability and tail-stall accounting.
-func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, nodes []*network.Node,
-	linkCount int, avgDegree float64, churn *mobilityChurn, eventsRun uint64, end sim.Time) MeshResult {
+// assembleMeshResult turns the finished run's state into a MeshResult.
+// The run's final simulated time drives availability and tail-stall
+// accounting.
+func assembleMeshResult(cfg *MeshTCPConfig, flows []*meshFlow, m *topology.Mesh, churn *mobilityChurn) MeshResult {
+	nodes, end := m.Nodes, m.Sched.Now()
 	res := MeshResult{
 		Completed:         true,
-		EventsRun:         eventsRun,
+		EventsRun:         m.Sched.EventsRun(),
 		NodeCount:         len(nodes),
-		LinkCount:         linkCount,
-		AvgDegree:         avgDegree,
+		LinkCount:         m.LinkCount,
+		AvgDegree:         m.AvgDegree(),
 		LinkUps:           churn.LinkUps,
 		LinkDowns:         churn.LinkDowns,
 		RouteFlaps:        churn.RouteFlaps,

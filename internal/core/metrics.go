@@ -27,9 +27,8 @@ import (
 var aggBodyBounds = []float64{256, 512, 1024, 2048, 3072, 4096, 5120, 8192}
 
 // registerRunMetrics wires the shared medium/MAC/network/TCP/sim
-// instrument catalog for one scheduler's node set. Sharded runs call it
-// once per shard with that shard's scheduler, medium, and owned nodes;
-// sequential runs pass everything. stacks may be nil (UDP runs).
+// instrument catalog for one run's scheduler, medium and nodes. stacks may
+// be nil (UDP runs).
 func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medium.Medium,
 	nodes []*network.Node, stacks []*tcp.Stack, maxAggBytes int) {
 	if reg == nil {
@@ -44,9 +43,6 @@ func registerRunMetrics(reg *telemetry.Registry, sched *sim.Scheduler, med *medi
 	})
 	reg.Gauge("medium.collisions", func() float64 {
 		return float64(med.Stats().Collisions)
-	})
-	reg.Gauge("medium.foreign_tx", func() float64 {
-		return float64(med.Stats().ForeignTx)
 	})
 	reg.Gauge("mac.queue_depth", func() float64 {
 		total := 0

@@ -64,21 +64,6 @@ func TestRunMeshTCPSparseRoutesEquivalent(t *testing.T) {
 	}
 }
 
-// TestRunMeshTCPSparseRoutesShardedEquivalent repeats the pin on the
-// sharded engine, whose route install happens on rebuilt nodes.
-func TestRunMeshTCPSparseRoutesShardedEquivalent(t *testing.T) {
-	cfg := MeshTCPConfig{
-		Scheme: mac.BA, Rate: phy.Rate2600k,
-		Topology: MeshGrid, Nodes: 25, Flows: 3,
-		FileBytes: 6_000, Seed: 7, Shards: 2,
-		Deadline: 600 * time.Second,
-	}
-	const allPairs = "8407d4892e03a4044525e8096401c900baa645e286d019516c1da789282fdf7a"
-	if got := resultDigest(t, RunMeshTCP(cfg)); got != allPairs {
-		t.Fatalf("endpoint-route sharded run digest %s, all-pairs digest %s", got, allPairs)
-	}
-}
-
 // scaleGated skips t unless AGGMAC_SCALE is set: the large-N test below
 // builds a 25,600-node world, so only the CI scale job (and explicit local
 // runs) pay for it. The scale job's N=400 full run is a gated golden row

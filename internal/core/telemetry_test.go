@@ -12,11 +12,10 @@ import (
 
 // meshMetricsConfig is the shared cell for the determinism tests: small
 // enough for CI, busy enough that every instrumented layer moves.
-func meshMetricsConfig(shards int) MeshTCPConfig {
+func meshMetricsConfig() MeshTCPConfig {
 	return MeshTCPConfig{
 		Scheme: mac.BA, Topology: MeshGrid, Nodes: 25, Flows: 4,
 		FileBytes: 8000, Seed: 3, Deadline: 120 * time.Second,
-		Shards: shards,
 	}
 }
 
@@ -25,9 +24,9 @@ func meshMetricsConfig(shards int) MeshTCPConfig {
 // sampler's own ticks). This is the golden-hash contract: metrics off is
 // the default, and metrics on only adds observation.
 func TestMetricsOffLeavesRunUntouched(t *testing.T) {
-	plain := RunMeshTCP(meshMetricsConfig(0))
+	plain := RunMeshTCP(meshMetricsConfig())
 
-	cfg := meshMetricsConfig(0)
+	cfg := meshMetricsConfig()
 	cfg.Metrics = telemetry.NewRecorder(100 * time.Millisecond)
 	instrumented := RunMeshTCP(cfg)
 
@@ -35,16 +34,16 @@ func TestMetricsOffLeavesRunUntouched(t *testing.T) {
 		t.Fatalf("sampler scheduled no events: %d vs %d", instrumented.EventsRun, plain.EventsRun)
 	}
 	plain.EventsRun, instrumented.EventsRun = 0, 0
-	if h1, h2 := hashMeshResult(plain), hashMeshResult(instrumented); h1 != h2 {
+	if h1, h2 := resultDigest(t, plain), resultDigest(t, instrumented); h1 != h2 {
 		t.Fatalf("metrics-on run diverged from metrics-off run:\n%s\nvs\n%s", h1, h2)
 	}
 }
 
 // runMeshJSONL runs the shared cell with a recorder and returns the JSONL
 // export bytes.
-func runMeshJSONL(t *testing.T, shards int) []byte {
+func runMeshJSONL(t *testing.T) []byte {
 	t.Helper()
-	cfg := meshMetricsConfig(shards)
+	cfg := meshMetricsConfig()
 	cfg.Metrics = telemetry.NewRecorder(100 * time.Millisecond)
 	RunMeshTCP(cfg)
 	var buf bytes.Buffer
@@ -55,14 +54,12 @@ func runMeshJSONL(t *testing.T, shards int) []byte {
 }
 
 // TestMeshMetricsDeterministic: the sampled series are a pure function of
-// the config — byte-identical across repeats, sequential and sharded.
+// the config — byte-identical across repeats.
 func TestMeshMetricsDeterministic(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		ref := runMeshJSONL(t, shards)
-		for rep := 0; rep < 2; rep++ {
-			if got := runMeshJSONL(t, shards); !bytes.Equal(got, ref) {
-				t.Fatalf("shards=%d rep %d: JSONL differs across identical runs", shards, rep)
-			}
+	ref := runMeshJSONL(t)
+	for rep := 0; rep < 2; rep++ {
+		if got := runMeshJSONL(t); !bytes.Equal(got, ref) {
+			t.Fatalf("rep %d: JSONL differs across identical runs", rep)
 		}
 	}
 }
@@ -71,7 +68,7 @@ func TestMeshMetricsDeterministic(t *testing.T) {
 // must all move on a busy mesh — and the paper's core quantity,
 // ACKs-suppressed-by-broadcast, must be nonzero under the BA scheme.
 func TestMeshMetricsCoverLayers(t *testing.T) {
-	cfg := meshMetricsConfig(0)
+	cfg := meshMetricsConfig()
 	cfg.Metrics = telemetry.NewRecorder(100 * time.Millisecond)
 	RunMeshTCP(cfg)
 	s := cfg.Metrics.Summary()

@@ -89,12 +89,7 @@ type link struct {
 // packed (from, to) pair to a slot in a flat link-state array answers
 // directed Connected/SNR queries for any pair. Only links that differ from
 // the default — connected, or carrying an SNR override — occupy a slot, so
-// memory is O(N·degree + overrides) instead of the seed's N×N matrix. A
-// table is normally owned by a single Medium, but the sharded engine shares
-// one read-only table across every shard's medium. Sharing contract:
-// connectivity and SNR must not change while more than one medium is
-// attached (the parallel mesh path is static-topology only and enforces
-// this).
+// memory is O(N·degree + overrides) instead of the seed's N×N matrix.
 type LinkTable struct {
 	n int
 	// defSNR is the SNR every non-self link reports until overridden
@@ -124,10 +119,10 @@ func pairKey(from, to NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// NewLinkTable builds a table for n nodes with every link cut; SNR defaults
+// newLinkTable builds a table for n nodes with every link cut; SNR defaults
 // to params.SNRdB once connected. Construction is O(N) — no pair state
 // exists until a setter creates it.
-func NewLinkTable(params phy.Params, n int) *LinkTable {
+func newLinkTable(params phy.Params, n int) *LinkTable {
 	return &LinkTable{
 		n:      n,
 		defSNR: params.SNRdB,
@@ -136,9 +131,6 @@ func NewLinkTable(params phy.Params, n int) *LinkTable {
 		idx:    make(map[uint64]int32),
 	}
 }
-
-// N returns the number of nodes the table covers.
-func (t *LinkTable) N() int { return t.n }
 
 // DirectedLinks returns the number of connected directed links — the
 // "N·degree" term of the table's memory footprint.
@@ -325,40 +317,11 @@ type Observer func(Event)
 type Stats struct {
 	ControlTx    int
 	AggregateTx  int
-	ForeignTx    int // transmissions replayed from another shard's medium
 	Collisions   int // receptions destroyed by overlap
 	Captures     int // receptions that survived a collision via capture
 	HalfDuplex   int // receptions missed because the receiver was transmitting
 	CorruptCtrl  int // control frames destroyed by noise
 	AirtimeTotal time.Duration
-}
-
-// Add accumulates o's counters into s; the parallel mesh path sums its
-// shard media into one channel-wide view.
-func (s *Stats) Add(o Stats) {
-	s.ControlTx += o.ControlTx
-	s.AggregateTx += o.AggregateTx
-	s.ForeignTx += o.ForeignTx
-	s.Collisions += o.Collisions
-	s.Captures += o.Captures
-	s.HalfDuplex += o.HalfDuplex
-	s.CorruptCtrl += o.CorruptCtrl
-	s.AirtimeTotal += o.AirtimeTotal
-}
-
-// ForeignFrame describes a locally-launched transmission in the form the
-// sharded engine replays into neighboring shards' media. Body is the shared
-// immutable marshaled aggregate (nil for control frames) and may be
-// retained; Spans aliases the live transmission's pooled backing array, so
-// a boundary hook that keeps the frame past its own return MUST copy Spans.
-type ForeignFrame struct {
-	Src        NodeID
-	Start, End sim.Time
-	IsControl  bool
-	Control    frame.Control
-	Hdr        frame.PHYHeader
-	Body       []byte
-	Spans      []frame.Span
 }
 
 // Medium is the shared channel.
@@ -376,12 +339,8 @@ type Medium struct {
 	// change can repair air; a node with any is on the air (half duplex).
 	air  [][]airEntry
 	txOf [][]*transmission
-	// tbl holds the link state and neighbor index. Normally private to
-	// this medium; shard media share one read-only table (see LinkTable).
+	// tbl holds the link state and neighbor index.
 	tbl *LinkTable
-	// boundary, when set, observes every locally-originated transmission at
-	// launch so the sharded engine can replay it into neighboring shards.
-	boundary func(ForeignFrame)
 
 	txFree   []*transmission // recycled transmissions (pooled arrays)
 	stats    Stats
@@ -405,16 +364,6 @@ func New(sched *sim.Scheduler, params phy.Params, n int) *Medium {
 // sparse meshes onto it with SetConnected/SetSNR; starting empty keeps
 // construction O(E) instead of tearing down O(N²) default links.
 func NewUnconnected(sched *sim.Scheduler, params phy.Params, n int) *Medium {
-	return NewOnTable(sched, params, NewLinkTable(params, n))
-}
-
-// NewOnTable creates a medium that shares an existing link table instead of
-// owning one. The sharded engine gives every shard's medium the same table,
-// so one link store serves the whole run; see LinkTable for the sharing
-// contract. The in-flight index stays per medium: each shard indexes its
-// own and replayed frames.
-func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium {
-	n := tbl.N()
 	return &Medium{
 		sched:  sched,
 		params: params,
@@ -423,7 +372,7 @@ func NewOnTable(sched *sim.Scheduler, params phy.Params, tbl *LinkTable) *Medium
 		busy:   make([]int, n),
 		air:    make([][]airEntry, n),
 		txOf:   make([][]*transmission, n),
-		tbl:    tbl,
+		tbl:    newLinkTable(params, n),
 	}
 }
 
@@ -552,7 +501,7 @@ func (m *Medium) dropAir(x NodeID, i int) {
 	m.air[x] = a[:last]
 }
 
-// Table returns the medium's link table, for sharing with NewOnTable.
+// Table returns the medium's link table.
 func (m *Medium) Table() *LinkTable { return m.tbl }
 
 // Connected reports whether b can hear a.
@@ -569,33 +518,6 @@ func (m *Medium) Neighbors(src NodeID) []NodeID { return m.tbl.nbrs[src] }
 
 // Degree returns how many nodes can hear src.
 func (m *Medium) Degree(src NodeID) int { return len(m.tbl.nbrs[src]) }
-
-// SetBoundary installs the sharded engine's hook: it observes every
-// locally-originated transmission at launch (after local collision marking
-// and energy detect) so the engine can replay it into neighboring shards.
-// See ForeignFrame for the aliasing rules. nil disables.
-func (m *Medium) SetBoundary(post func(ForeignFrame)) { m.boundary = post }
-
-// InjectForeign replays a transmission that originated in another shard's
-// medium over the same LinkTable. The local clock must be within
-// [ff.Start, ff.End]: carrier-busy and collision marking take effect from
-// now (the engine injects at Start + lookahead, so at most the first
-// lookahead window of overlap is missed locally — the source shard marks
-// its own receivers exactly), while delivery to in-range attached radios
-// happens at exactly ff.End, byte-identical to a local reception.
-func (m *Medium) InjectForeign(ff ForeignFrame) {
-	now := m.sched.Now()
-	if now < ff.Start || now > ff.End {
-		panic(fmt.Sprintf("medium: InjectForeign at %v outside frame window [%v, %v]", now, ff.Start, ff.End))
-	}
-	t := m.getTx()
-	t.src, t.start, t.end = ff.Src, ff.Start, ff.End
-	t.isControl, t.control, t.hdr = ff.IsControl, ff.Control, ff.Hdr
-	t.body = ff.Body
-	t.spans = append(t.spans[:0], ff.Spans...)
-	m.stats.ForeignTx++
-	m.enter(t)
-}
 
 // CarrierBusy reports whether node id currently senses energy from others.
 func (m *Medium) CarrierBusy(id NodeID) bool { return m.busy[id] > 0 }
@@ -655,25 +577,12 @@ func (m *Medium) TransmitAggregate(src NodeID, agg *frame.Aggregate) time.Durati
 	return d
 }
 
+// launch puts t on the air: half-duplex deafening, audience capture,
+// mutual collision marking, indexing, energy detect, and the scheduled
+// finish. Frames whose end is at or before t.start (now) are on their way
+// out and never overlap t.
 func (m *Medium) launch(t *transmission) {
 	m.stats.AirtimeTotal += t.end - t.start
-	m.enter(t)
-	if m.boundary != nil {
-		m.boundary(ForeignFrame{
-			Src: t.src, Start: t.start, End: t.end,
-			IsControl: t.isControl, Control: t.control,
-			Hdr: t.hdr, Body: t.body, Spans: t.spans,
-		})
-	}
-}
-
-// enter puts t on the air: half-duplex deafening, audience capture,
-// mutual collision marking, indexing, energy detect, and the scheduled
-// finish. Shared by local launches (where t.start == now) and foreign
-// injections (where t.start is up to the engine lookahead in the past).
-// Frames whose end is at or before t.start are on their way out and never
-// overlap t.
-func (m *Medium) enter(t *transmission) {
 	// The new transmitter deafens itself to the receptions in progress at
 	// it; its own signal is infinitely strong, so capture can never save
 	// them.
@@ -716,7 +625,7 @@ func (m *Medium) enter(t *transmission) {
 		}
 	}
 
-	m.sched.After(t.end-m.sched.Now(), "medium:txEnd", t.finishFn)
+	m.sched.At(t.end, "medium:txEnd", t.finishFn)
 }
 
 func (m *Medium) finish(t *transmission) {

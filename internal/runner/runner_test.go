@@ -159,26 +159,6 @@ func TestMeshSpec(t *testing.T) {
 	}
 }
 
-// TestMeshShardedSpec: the Shards knob rides through the runner into the
-// parallel engine, and the result reports which engine ran.
-func TestMeshShardedSpec(t *testing.T) {
-	mesh := &core.MeshTCPConfig{
-		Scheme: mac.BA, Rate: phy.Rate2600k,
-		Topology: core.MeshGrid, Nodes: 16, Flows: 2,
-		FileBytes: 8_000, Seed: 1, Shards: 2,
-	}
-	res := run(t, 1, []Spec{{Key: "mesh-par", Mesh: mesh}})
-	if res[0].Err != nil || res[0].Mesh == nil {
-		t.Fatalf("sharded mesh spec failed: %+v", res[0].Err)
-	}
-	if res[0].Mesh.Shards != 2 {
-		t.Errorf("result ran on %d shards, want 2", res[0].Mesh.Shards)
-	}
-	if res[0].Mesh.FlowsDone != 2 {
-		t.Errorf("flows done = %d, want 2", res[0].Mesh.FlowsDone)
-	}
-}
-
 // TestScenarioSpec: a scenario spec runs through the pool and reports its
 // aggregate goodput as the headline metric.
 func TestScenarioSpec(t *testing.T) {

@@ -174,32 +174,6 @@ func (s *Scheduler) After(d time.Duration, what string, fn func()) Timer {
 // Halt stops the run loop after the current event returns.
 func (s *Scheduler) Halt() { s.halted = true }
 
-// Halted reports whether Halt has been called since the last Run/RunUntil
-// started. The shard engine polls it between events; Run and RunUntil clear
-// it on entry.
-func (s *Scheduler) Halted() bool { return s.halted }
-
-// PeekTime returns the deadline of the earliest pending event without
-// executing it. ok is false when the queue is empty.
-func (s *Scheduler) PeekTime() (at Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.events[s.queue[0]].at, true
-}
-
-// AdvanceTo moves the clock forward to t without executing anything. The
-// shard engine uses it to run externally-staged boundary events at their
-// exact timestamps. Moving backwards panics: conservative synchronization
-// guarantees staged events are never in the local past, so a violation is
-// an engine bug.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now %v", t, s.now))
-	}
-	s.now = t
-}
-
 // Step runs the next pending event, advancing the clock to its deadline.
 // It reports false when no events remain.
 func (s *Scheduler) Step() bool {

@@ -1,10 +1,12 @@
 // JSONL export and the per-run summary embedded in -json output.
 //
 // The export is versioned and line-oriented so downstream tooling can
-// stream it: a header line, then per shard one tick-times line followed
-// by one line per series in registration order, and a final summary
-// line. Every value derives from simulated time or simulation state, so
-// the bytes are identical across repeats and GOMAXPROCS settings.
+// stream it: a header line, then per registry one tick-times line
+// followed by one line per series in registration order, and a final
+// summary line. The "shards"/"shard" fields count and index registries;
+// every run registers one, so they read 1 and 0. Every value derives from
+// simulated time or simulation state, so the bytes are identical across
+// repeats and GOMAXPROCS settings.
 package telemetry
 
 import (
@@ -46,7 +48,7 @@ type summaryLine struct {
 	*Summary
 }
 
-// WriteJSONL writes the full export: header, per-shard tick times and
+// WriteJSONL writes the full export: header, per-registry tick times and
 // series lines, and a trailing summary line.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {

@@ -6,12 +6,10 @@
 // Determinism contract. Everything exported derives from simulated time
 // and simulation state: samples are taken by scheduler events at fixed
 // simulated instants, registration order fixes series order, and no
-// wall-clock value ever enters a series (wall-clock shard diagnostics
-// go to the separate Chrome trace exporter, which is explicitly
-// non-deterministic). A metrics-on run therefore produces byte-identical
-// JSONL across repeats and GOMAXPROCS settings. A metrics-off run (nil
-// Recorder) schedules nothing and draws no randomness, so event
-// sequences — and golden hashes — are untouched.
+// wall-clock value ever enters a series. A metrics-on run therefore
+// produces byte-identical JSONL across repeats and GOMAXPROCS settings. A
+// metrics-off run (nil Recorder) schedules nothing and draws no
+// randomness, so event sequences — and golden hashes — are untouched.
 //
 // Overhead contract. Disabled is the default and costs almost nothing:
 // a nil *Registry hands out nil instrument handles, and every handle
@@ -21,9 +19,8 @@
 //
 // Concurrency contract. A Registry is confined to one scheduler: its
 // gauges and histograms are read and written only by that scheduler's
-// event loop (sharded runs use one Registry per shard, keyed by shard
-// index). Counters alone are atomic, so layers that complete work on
-// foreign goroutines — the runner's worker pool — may share them.
+// event loop. Counters alone are atomic, so layers that complete work on
+// other goroutines — the runner's worker pool — may share them.
 package telemetry
 
 import (
@@ -37,9 +34,9 @@ import (
 // with a non-positive interval: 10 samples per simulated second.
 const DefaultInterval = 100 * time.Millisecond
 
-// Recorder owns the telemetry of one run: a sampling interval and one
-// Registry per shard (a sequential run uses shard 0 only). Build it
-// before the run, pass it through the config, and export after.
+// Recorder owns the telemetry of one run: a sampling interval and its
+// registries, indexed from 0 (every run registers on Registry(0) only).
+// Build it before the run, pass it through the config, and export after.
 type Recorder struct {
 	interval time.Duration
 	regs     []*Registry
@@ -57,9 +54,8 @@ func NewRecorder(interval time.Duration) *Recorder {
 // Interval reports the simulated-time sampling period.
 func (r *Recorder) Interval() time.Duration { return r.interval }
 
-// Registry returns the registry for the given shard index, creating it
-// and any lower-indexed gaps on first use. Call during single-threaded
-// run construction, before shard goroutines start.
+// Registry returns the registry for the given index, creating it and any
+// lower-indexed gaps on first use. Call during run construction.
 func (r *Recorder) Registry(shard int) *Registry {
 	if r == nil {
 		return nil

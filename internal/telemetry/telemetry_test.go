@@ -110,7 +110,7 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 
 func TestRegistryDedupAndGaps(t *testing.T) {
 	rec := NewRecorder(time.Millisecond)
-	reg := rec.Registry(2) // skipping shards 0, 1 must not panic
+	reg := rec.Registry(2) // skipping registries 0, 1 must not panic
 	if rec.Registry(2) != reg {
 		t.Fatalf("Registry(2) not stable across calls")
 	}
@@ -200,29 +200,5 @@ func TestSummaryHistogram(t *testing.T) {
 	m := s.Metrics[0]
 	if m.Count != 2 || m.Sum != 10 || m.Mean != 5 || m.Last != 5 {
 		t.Fatalf("hist summary = %+v, want count=2 sum=10 mean=5 last=5", m)
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	spans := []sim.ShardSpan{
-		{Shard: 0, Kind: "run", Start: 0, End: 2 * time.Millisecond, SimAt: 10, Events: 42},
-		{Shard: 1, Kind: "blocked", Start: time.Millisecond, End: 3 * time.Millisecond},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, buf.Bytes())
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
-	}
-	if events[0]["ph"] != "X" || events[0]["name"] != "run" {
-		t.Fatalf("event[0] = %v", events[0])
-	}
-	if _, ok := events[0]["args"]; !ok {
-		t.Fatalf("run span missing args: %v", events[0])
 	}
 }

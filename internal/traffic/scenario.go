@@ -290,8 +290,19 @@ func (s *Scenario) Validate() error {
 	if s.Topology.Kind != "chains" && s.Topology.Nodes < 4 {
 		return fmt.Errorf("traffic: topology needs at least 4 nodes, got %d", s.Topology.Nodes)
 	}
-	if s.Mobility != nil && !knownMobility[s.Mobility.Model] {
-		return fmt.Errorf("traffic: unknown mobility model %q (waypoint|drift)", s.Mobility.Model)
+	if m := s.Mobility; m != nil {
+		if !knownMobility[m.Model] {
+			return fmt.Errorf("traffic: unknown mobility model %q (waypoint|drift)", m.Model)
+		}
+		if m.Speed < 0 {
+			return fmt.Errorf("traffic: mobility speed %g is negative", m.Speed)
+		}
+		if m.PauseS < 0 {
+			return fmt.Errorf("traffic: mobility pause_s %g is negative", m.PauseS)
+		}
+		if m.MoveIntervalS <= 0 {
+			return fmt.Errorf("traffic: mobility move_interval_s must be positive, got %g", m.MoveIntervalS)
+		}
 	}
 	switch s.Traffic.Mode {
 	case ModeOpen:

@@ -76,6 +76,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"bad topology", func(s *Scenario) { s.Topology.Kind = "torus" }},
 		{"tiny topology", func(s *Scenario) { s.Topology.Nodes = 2 }},
 		{"bad mobility", func(s *Scenario) { s.Mobility = &Mobility{Model: "teleport"} }},
+		{"negative mobility speed", func(s *Scenario) { s.Mobility = &Mobility{Model: "waypoint", Speed: -1} }},
+		{"negative mobility pause", func(s *Scenario) { s.Mobility = &Mobility{Model: "waypoint", PauseS: -1} }},
+		{"negative move interval", func(s *Scenario) { s.Mobility = &Mobility{Model: "drift", MoveIntervalS: -1} }},
 		{"open without rate", func(s *Scenario) { s.Traffic.ArrivalRate = 0 }},
 		{"bad mode", func(s *Scenario) { s.Traffic.Mode = "ajar" }},
 		{"closed without users", func(s *Scenario) { s.Traffic.Mode = ModeClosed; s.Traffic.Users = 0 }},

@@ -150,6 +150,12 @@ func TestUsageErrorsExitTwoWithoutTouchingStore(t *testing.T) {
 		{"sim store on single run", sim, []string{"-store", storeDir}},
 		{"sim store on mesh run", sim, []string{"-topo", "grid", "-store", storeDir}},
 		{"sim store with trace", sim, []string{"-scheme", "na,ba", "-store", storeDir, "-trace"}},
+		{"sim grid with negative nodes", sim, []string{"-topo", "grid", "-nodes", "-5", "-flows", "2"}},
+		{"sim disk with one node", sim, []string{"-topo", "disk", "-nodes", "1"}},
+		{"sim negative speed", sim, []string{"-topo", "grid", "-mobility", "waypoint", "-speed", "-1"}},
+		{"sim workload negative speed", sim, []string{"-topo", "grid", "-arrival-rate", "0.5", "-speed", "-1"}},
+		{"sim negative pause", sim, []string{"-topo", "grid", "-mobility", "waypoint", "-pause", "-1s"}},
+		{"sim zero move interval", sim, []string{"-topo", "grid", "-mobility", "drift", "-move-interval", "0"}},
 	}
 	for _, c := range cases {
 		if code := exitCode(t, c.bin, c.args...); code != 2 {
