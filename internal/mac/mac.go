@@ -91,10 +91,6 @@ type MAC struct {
 	// funcs instead of allocating a fresh closure (or method value) per At.
 	resumeFn, difsFn, slotFn, timeoutFn, startDataFn, dataEndFn, respEndFn, flushFn func()
 
-	// rxScratch is the reusable aggregate-decode buffer; RxAggregate and
-	// everything it calls run synchronously, so one per MAC suffices.
-	rxScratch frame.DecodedAggregate
-
 	// aggScratch/sfScratch back the assembled aggregate. A MAC has at most
 	// one exchange bundle in flight and assemble only runs once m.current is
 	// nil again, so both recycle between exchanges without copies.
@@ -659,15 +655,12 @@ func (m *MAC) handleBlockAck(bitmap uint16) {
 	m.resumeAccess()
 }
 
-// RxAggregate implements medium.Radio: the §4.2.2 receive process.
-func (m *MAC) RxAggregate(src medium.NodeID, hdr frame.PHYHeader, body []byte) {
+// RxAggregate implements medium.Radio: the §4.2.2 receive process. dec is
+// the medium's shared decode of the frame: it is read, never written.
+func (m *MAC) RxAggregate(_ medium.NodeID, _ frame.PHYHeader, _ []byte, dec *frame.DecodedAggregate) {
 	if m.down {
 		return
 	}
-	if err := frame.DecodeAggregateInto(&m.rxScratch, hdr, body); err != nil {
-		return
-	}
-	dec := &m.rxScratch
 	// Broadcast portion: deliver each CRC-passing subframe immediately.
 	for _, d := range dec.Broadcast {
 		if !d.CRCOK {

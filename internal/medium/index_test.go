@@ -322,6 +322,11 @@ func compareRuns(t *testing.T, fastRadios []fakeRadio, fastStats Stats, scanRadi
 		if !reflect.DeepEqual(f.aggs, d.aggs) || !reflect.DeepEqual(f.aggSrcs, d.aggSrcs) {
 			t.Errorf("radio %d aggregate receptions diverged", i)
 		}
+		if !reflect.DeepEqual(f.views, d.views) {
+			t.Errorf("radio %d decoded views diverged", i)
+		}
+		checkViews(t, i, f)
+		checkViews(t, i, d)
 	}
 }
 

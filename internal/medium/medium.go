@@ -66,15 +66,19 @@ type Radio interface {
 	// the received SNR (Hydra's PHY reports it; rate adaptation feeds on
 	// the RTS/CTS measurements).
 	RxControl(src NodeID, c frame.Control, snrdB float64)
-	// RxAggregate delivers an aggregate's PHY header and (possibly
-	// corrupted) body bytes at the end of its airtime.
+	// RxAggregate delivers an aggregate at the end of its airtime: its PHY
+	// header, its (possibly corrupted) body bytes, and dec, the body
+	// decoded by frame.DecodeAggregateInto.
 	//
-	// The body is shared: every receiver that heard the frame cleanly gets
-	// the same backing array (corrupted receivers get a private copy).
-	// Receivers may retain subslices — the medium never reuses a body — but
-	// MUST NOT write into it; mutating it would corrupt the frame for the
-	// other receivers.
-	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte)
+	// Both are shared. Every receiver that heard the frame cleanly gets the
+	// same body backing array and the same dec, which the medium decodes
+	// once per transmission; a receiver whose copy was corrupted gets a
+	// private body and its own decode of it. dec is valid only for the
+	// call: the medium reuses its subframe arrays. Receivers may retain
+	// subslices of the body (a subframe's Payload is one) — the medium
+	// never reuses a body — but MUST NOT write into the body or into dec;
+	// either would corrupt the frame for the other receivers.
+	RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte, dec *frame.DecodedAggregate)
 }
 
 // link holds per-directed-link channel state.
@@ -258,9 +262,10 @@ func (t *LinkTable) connectFull() {
 }
 
 // transmission is pooled: Medium recycles finished transmissions (and their
-// audience/collided/interfSNR/spans backing arrays) through a free list, so
-// putting a frame on the air allocates only its marshaled body — which is
-// shared with receivers and therefore the one thing that must not be reused.
+// audience/collided/interfSNR/spans/decoded-subframe backing arrays) through
+// a free list, so putting a frame on the air allocates only its marshaled
+// body — which is shared with receivers and therefore the one thing that
+// must not be reused.
 type transmission struct {
 	src        NodeID
 	start, end sim.Time
@@ -269,6 +274,10 @@ type transmission struct {
 	hdr        frame.PHYHeader
 	body       []byte
 	spans      []frame.Span
+	// dec is body decoded, filled by the first clean delivery (decoded) and
+	// shared by every clean receiver.
+	dec     frame.DecodedAggregate
+	decoded bool
 	// audience is the set of attached in-range radios, captured once at
 	// launch (ascending node id); energy detect, delivery and carrier
 	// release iterate it. collided and interfSNR are indexed like it.
@@ -345,6 +354,9 @@ type Medium struct {
 	txFree   []*transmission // recycled transmissions (pooled arrays)
 	stats    Stats
 	observer Observer
+	// corruptDec holds the decode of a corrupted receiver's private body
+	// for the duration of its RxAggregate call.
+	corruptDec frame.DecodedAggregate
 	// captureDB, when > 0, lets the stronger frame of a collision survive
 	// if its SNR margin over the strongest interferer exceeds this
 	// threshold (physical-layer capture; off by default, matching the
@@ -391,8 +403,11 @@ func (m *Medium) getTx() *transmission {
 
 // putTx recycles a finished transmission. The body is deliberately dropped,
 // not reused: receivers may retain subslices of it (see Radio.RxAggregate).
+// The decoded subframes are cleared so the pool keeps no body alive.
 func (m *Medium) putTx(t *transmission) {
 	t.body = nil
+	dropDecoded(&t.dec)
+	t.decoded = false
 	t.spans = t.spans[:0]
 	t.audience = t.audience[:0]
 	t.collided = t.collided[:0]
@@ -559,8 +574,8 @@ func (m *Medium) TransmitControl(src NodeID, c frame.Control) time.Duration {
 }
 
 // TransmitAggregate marshals and puts an aggregate on the air, returning
-// its airtime. The body is marshaled exactly once; clean receivers all share
-// it (see Radio.RxAggregate).
+// its airtime. The body is marshaled exactly once and decoded at most once;
+// clean receivers all share both (see Radio.RxAggregate).
 func (m *Medium) TransmitAggregate(src NodeID, agg *frame.Aggregate) time.Duration {
 	d := m.AggregateAirtime(agg)
 	t := m.getTx()
@@ -758,7 +773,34 @@ func (m *Medium) deliver(t *transmission, i int) {
 		}
 		m.emit(Event{Kind: "rx-agg", Src: t.src, Dst: dst, Info: info})
 	}
-	m.radios[dst].RxAggregate(t.src, t.hdr, body)
+	if copied {
+		decode(&m.corruptDec, t.hdr, body)
+		m.radios[dst].RxAggregate(t.src, t.hdr, body, &m.corruptDec)
+		dropDecoded(&m.corruptDec)
+		return
+	}
+	if !t.decoded {
+		decode(&t.dec, t.hdr, t.body)
+		t.decoded = true
+	}
+	m.radios[dst].RxAggregate(t.src, t.hdr, body, &t.dec)
+}
+
+// decode fills dec from an aggregate body. The medium marshaled body from
+// the aggregate hdr describes and corruption only flips bits, so the
+// lengths always agree.
+func decode(dec *frame.DecodedAggregate, hdr frame.PHYHeader, body []byte) {
+	if err := frame.DecodeAggregateInto(dec, hdr, body); err != nil {
+		panic("medium: " + err.Error())
+	}
+}
+
+// dropDecoded empties dec, zeroing its subframes so their payloads stop
+// pinning the body they alias; the backing arrays are kept for reuse.
+func dropDecoded(dec *frame.DecodedAggregate) {
+	clear(dec.Broadcast)
+	clear(dec.Unicast)
+	dec.Broadcast, dec.Unicast = dec.Broadcast[:0], dec.Unicast[:0]
 }
 
 // shiftedChunkErr applies a per-link SNR shift on top of the global params,

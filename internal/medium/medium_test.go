@@ -2,6 +2,7 @@ package medium
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,8 +17,11 @@ type fakeRadio struct {
 	ctrls                []frame.Control
 	ctrlSrcs             []NodeID
 	snrs                 []float64
-	aggs                 []frame.DecodedAggregate
-	aggSrcs              []NodeID
+	// aggs is an independent decode of each delivered body; views copies
+	// the medium's decoded view of it (valid only during the call).
+	aggs    []frame.DecodedAggregate
+	views   []frame.DecodedAggregate
+	aggSrcs []NodeID
 }
 
 func (f *fakeRadio) CarrierBusy() { f.busyEdges++ }
@@ -27,13 +31,38 @@ func (f *fakeRadio) RxControl(src NodeID, c frame.Control, snrdB float64) {
 	f.ctrlSrcs = append(f.ctrlSrcs, src)
 	f.snrs = append(f.snrs, snrdB)
 }
-func (f *fakeRadio) RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte) {
-	dec, err := frame.DecodeAggregate(hdr, body)
+func (f *fakeRadio) RxAggregate(src NodeID, hdr frame.PHYHeader, body []byte, dec *frame.DecodedAggregate) {
+	own, err := frame.DecodeAggregate(hdr, body)
 	if err != nil {
 		return
 	}
-	f.aggs = append(f.aggs, dec)
+	f.aggs = append(f.aggs, own)
+	f.views = append(f.views, copyDecoded(dec))
 	f.aggSrcs = append(f.aggSrcs, src)
+}
+
+// copyDecoded deep-copies a decoded view's subframe lists (empty lists come
+// out nil, as in a fresh frame.DecodeAggregate). Payloads still alias the
+// body, which receivers may retain.
+func copyDecoded(d *frame.DecodedAggregate) frame.DecodedAggregate {
+	c := *d
+	c.Broadcast = append([]frame.DecodedSubframe(nil), d.Broadcast...)
+	c.Unicast = append([]frame.DecodedSubframe(nil), d.Unicast...)
+	return c
+}
+
+// checkViews fails unless every aggregate radio id received came with a
+// decoded view equal to its own decode of the body it was handed.
+func checkViews(t *testing.T, id int, r *fakeRadio) {
+	t.Helper()
+	if len(r.views) != len(r.aggs) {
+		t.Fatalf("radio %d: %d views for %d aggregates", id, len(r.views), len(r.aggs))
+	}
+	for k := range r.aggs {
+		if !reflect.DeepEqual(r.views[k], r.aggs[k]) {
+			t.Fatalf("radio %d aggregate %d: medium's view %+v != own decode %+v", id, k, r.views[k], r.aggs[k])
+		}
+	}
 }
 
 func setup(t *testing.T, n int) (*sim.Scheduler, *Medium, []*fakeRadio) {
@@ -323,12 +352,18 @@ func TestCleanDeliverySharesBody(t *testing.T) {
 	s := sim.NewScheduler(1)
 	m := New(s, phy.DefaultParams(), 3)
 	var bodies [][]byte
+	var decs []*frame.DecodedAggregate
+	var views []frame.DecodedAggregate
 	for i := 0; i < 3; i++ {
-		m.Attach(NodeID(i), &captureRadio{onAgg: func(body []byte) {
+		m.Attach(NodeID(i), &captureRadio{onAgg: func(body []byte, dec *frame.DecodedAggregate) {
 			bodies = append(bodies, body)
+			decs = append(decs, dec)
+			views = append(views, copyDecoded(dec))
 		}})
 	}
-	agg := dataAgg(1, 100, frame.NodeAddr(1))
+	agg := dataAgg(2, 100, frame.NodeAddr(1))
+	agg.Broadcast = dataAgg(1, 60, frame.Broadcast).Unicast
+	agg.BroadcastRate = phy.Rate1300k
 	want, _ := agg.Marshal()
 	s.After(0, "tx", func() { m.TransmitAggregate(0, agg) })
 	s.Run()
@@ -341,6 +376,23 @@ func TestCleanDeliverySharesBody(t *testing.T) {
 	if !bytes.Equal(bodies[0], want) {
 		t.Fatal("shared body differs from the marshaled aggregate")
 	}
+	// Decode once: both clean receivers get the same view, and it is
+	// exactly what an independent decode of the shared body yields.
+	if decs[0] != decs[1] {
+		t.Fatal("clean receivers should share one decoded view")
+	}
+	ref, err := frame.DecodeAggregate(agg.Header(), want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Broadcast) != 1 || len(ref.Unicast) != 2 {
+		t.Fatalf("reference decode has %d+%d subframes, want 1+2", len(ref.Broadcast), len(ref.Unicast))
+	}
+	for i, v := range views {
+		if !reflect.DeepEqual(v, ref) {
+			t.Fatalf("receiver %d view %+v != independent decode %+v", i, v, ref)
+		}
+	}
 }
 
 // Copy-on-corrupt contract: a receiver whose copy of the air was damaged
@@ -350,10 +402,14 @@ func TestCorruptDeliveryGetsPrivateCopy(t *testing.T) {
 	s := sim.NewScheduler(1)
 	m := New(s, phy.DefaultParams(), 3)
 	var got [3][][]byte
+	var decs [3][]*frame.DecodedAggregate
+	var views [3][]frame.DecodedAggregate
 	for i := 0; i < 3; i++ {
 		i := i
-		m.Attach(NodeID(i), &captureRadio{onAgg: func(body []byte) {
+		m.Attach(NodeID(i), &captureRadio{onAgg: func(body []byte, dec *frame.DecodedAggregate) {
 			got[i] = append(got[i], body)
+			decs[i] = append(decs[i], dec)
+			views[i] = append(views[i], copyDecoded(dec))
 		}})
 	}
 	m.SetSNR(0, 1, 4) // node 1 hears a badly degraded copy; node 2 is clean
@@ -384,14 +440,73 @@ func TestCorruptDeliveryGetsPrivateCopy(t *testing.T) {
 	if corrupted == 0 {
 		t.Fatalf("no corrupted deliveries in %d tries on a 4 dB link", tries)
 	}
+	// Every receiver's view is the decode of the bytes it was handed: a
+	// corrupted receiver gets its own decode, never the shared clean one.
+	clean := decs[2][0]
+	for i := 1; i < 3; i++ {
+		for k, b := range got[i] {
+			ref, err := frame.DecodeAggregate(agg.Header(), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(views[i][k], ref) {
+				t.Fatalf("receiver %d frame %d: view != independent decode of its body", i, k)
+			}
+			if isCorrupt := !bytes.Equal(b, want); isCorrupt == (decs[i][k] == clean) {
+				t.Fatalf("receiver %d frame %d: corrupted=%v but shares the clean view=%v", i, k, isCorrupt, decs[i][k] == clean)
+			}
+		}
+	}
 }
 
-type captureRadio struct{ onAgg func([]byte) }
+// A recycled transmission must not keep its body alive through the decoded
+// subframes' payloads, and neither may the corrupted-receiver scratch.
+func TestRecycledTxHoldsNoPayloads(t *testing.T) {
+	s, m, radios := setup(t, 3)
+	m.SetSNR(0, 1, 4) // corrupted copies at node 1, clean ones at node 2
+	agg := dataAgg(3, 200, frame.NodeAddr(1))
+	for i := 0; i < 20; i++ {
+		s.After(sim.Time(i)*time.Millisecond*50, "tx", func() { m.TransmitAggregate(0, agg) })
+	}
+	s.Run()
+	if len(radios[2].aggs) == 0 {
+		t.Fatal("no aggregate delivered: the decode path went unexercised")
+	}
+	for i, r := range radios {
+		checkViews(t, i, r)
+	}
+	noPayloads := func(what string, dec *frame.DecodedAggregate) {
+		if cap(dec.Unicast) == 0 {
+			t.Fatalf("%s: never decoded into", what)
+		}
+		for _, sf := range append(dec.Broadcast[:cap(dec.Broadcast)], dec.Unicast[:cap(dec.Unicast)]...) {
+			if sf.Payload != nil {
+				t.Fatalf("%s still holds a subframe payload", what)
+			}
+		}
+	}
+	if len(m.txFree) == 0 {
+		t.Fatal("no transmission was recycled")
+	}
+	for _, tx := range m.txFree {
+		if tx.decoded {
+			t.Fatal("recycled transmission still marked decoded")
+		}
+		noPayloads("recycled transmission", &tx.dec)
+	}
+	noPayloads("corrupted-receiver scratch", &m.corruptDec)
+}
 
-func (c *captureRadio) CarrierBusy()                                         {}
-func (c *captureRadio) CarrierIdle()                                         {}
-func (c *captureRadio) RxControl(NodeID, frame.Control, float64)             {}
-func (c *captureRadio) RxAggregate(_ NodeID, _ frame.PHYHeader, body []byte) { c.onAgg(body) }
+type captureRadio struct {
+	onAgg func(body []byte, dec *frame.DecodedAggregate)
+}
+
+func (c *captureRadio) CarrierBusy()                             {}
+func (c *captureRadio) CarrierIdle()                             {}
+func (c *captureRadio) RxControl(NodeID, frame.Control, float64) {}
+func (c *captureRadio) RxAggregate(_ NodeID, _ frame.PHYHeader, body []byte, dec *frame.DecodedAggregate) {
+	c.onAgg(body, dec)
+}
 
 func TestCaptureEffect(t *testing.T) {
 	// Nodes 0 (25 dB to receiver 2) and 1 (10 dB) collide at node 2.

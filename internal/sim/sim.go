@@ -13,6 +13,17 @@
 // allocator once the slab has grown to the run's high-water mark.
 // Timer.Stop removes the event from the queue immediately (no lazy-cancel
 // tombstones), so Pending is exact and cancelled slots are reused at once.
+//
+// Most handlers re-arm something (a DCF backoff slot schedules the next
+// slot), so Step leaves the fired entry at the heap root while its handler
+// runs: the root's (at, seq) is the queue minimum, so heap order holds with
+// it in place. The handler's first At refills that root and sifts down
+// once, instead of a pop (which sifts the last leaf down from the root)
+// plus a push. If the handler schedules nothing, Step removes the root
+// after it returns. The vacant root is never counted: Pending and
+// PoolStats read as if the fired event had already left the queue, and
+// the fired slot is released before the handler runs, exactly as a pop
+// would, so slot reuse, Timer generations and pop order are unchanged.
 package sim
 
 import (
@@ -82,6 +93,9 @@ type Scheduler struct {
 	rng    *rand.Rand
 	ran    uint64
 	halted bool
+	// vacant marks queue[0] as the released slot of the event whose handler
+	// is running; the handler's first At refills it (see the package doc).
+	vacant bool
 
 	wallBudget time.Duration // 0: no watchdog
 	wallStart  time.Time
@@ -131,15 +145,23 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 func (s *Scheduler) EventsRun() uint64 { return s.ran }
 
 // Pending returns the number of events currently queued. Stopped timers are
-// removed immediately, so the count is exact.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// removed immediately and the running event is not counted, so the count
+// is exact.
+func (s *Scheduler) Pending() int { return s.pending() }
+
+func (s *Scheduler) pending() int {
+	if s.vacant {
+		return len(s.queue) - 1
+	}
+	return len(s.queue)
+}
 
 // PoolStats reports the event core's slab occupancy: slots is the slab's
 // high-water mark, free the recycled slots available for reuse, and
 // pending the events currently queued. The telemetry layer samples these
 // as the event-pool occupancy gauges.
 func (s *Scheduler) PoolStats() (slots, free, pending int) {
-	return len(s.events), len(s.free), len(s.queue)
+	return len(s.events), len(s.free), s.pending()
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
@@ -159,10 +181,19 @@ func (s *Scheduler) At(at Time, what string, fn func()) Timer {
 	ev := &s.events[slot]
 	ev.at, ev.seq, ev.fn, ev.what = at, s.seq, fn, what
 	s.seq++
-	i := len(s.queue)
-	s.queue = append(s.queue, slot)
-	ev.pos = int32(i)
-	s.siftUp(i)
+	if s.vacant {
+		// No queued event precedes the fired one, so the new event can
+		// take the root and sink to its place.
+		s.vacant = false
+		s.queue[0] = slot
+		ev.pos = 0
+		s.siftDown(0)
+	} else {
+		i := len(s.queue)
+		s.queue = append(s.queue, slot)
+		ev.pos = int32(i)
+		s.siftUp(i)
+	}
 	return Timer{s: s, slot: slot, gen: ev.gen}
 }
 
@@ -175,22 +206,32 @@ func (s *Scheduler) After(d time.Duration, what string, fn func()) Timer {
 func (s *Scheduler) Halt() { s.halted = true }
 
 // Step runs the next pending event, advancing the clock to its deadline.
-// It reports false when no events remain.
+// It reports false when no events remain. Handlers must not call Step, Run
+// or RunUntil themselves, and a handler that panics ends the run: the
+// vacant root it leaves behind is only cleared when the handler returns.
+// (A *WallBudgetError is raised before the handler starts and leaves the
+// queue exact.)
 func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
+	// The fired slot is released but stays at the root while fn runs.
 	slot := s.queue[0]
-	s.removeAt(0)
 	ev := &s.events[slot]
 	at, fn := ev.at, ev.fn
 	s.release(slot)
 	s.now = at
 	s.ran++
 	if s.wallBudget > 0 && s.ran&4095 == 0 && time.Since(s.wallStart) > s.wallBudget {
+		s.removeAt(0)
 		panic(&WallBudgetError{Budget: s.wallBudget, SimTime: s.now, Events: s.ran})
 	}
+	s.vacant = true
 	fn()
+	if s.vacant {
+		s.vacant = false
+		s.removeAt(0)
+	}
 	return true
 }
 

@@ -354,6 +354,239 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocates %v times per op, want 0", allocs)
 	}
+
+	// A handler that re-arms itself refills the fired root in place.
+	for i := 0; i < 16; i++ {
+		s.After(time.Duration(i+1)*time.Second, "long", fn)
+	}
+	var rearm func()
+	rearm = func() { s.After(20*time.Microsecond, "rearm", rearm) }
+	s.After(0, "rearm", rearm)
+	allocs = testing.AllocsPerRun(1000, func() { s.Step() })
+	if allocs != 0 {
+		t.Fatalf("self-re-arming handler allocates %v times per event, want 0", allocs)
+	}
+	if s.Pending() != 17 {
+		t.Fatalf("Pending = %d after re-arming steps, want 17", s.Pending())
+	}
+}
+
+// schedModel is a reference for the scheduler's observable state: pending
+// events kept unordered and popped by a linear (at, seq) minimum search, and
+// slab slots handed out from a LIFO free list, the fired slot released
+// before its handler runs.
+type schedModel struct {
+	now   Time
+	seq   uint64
+	live  []modelEvent
+	slots int
+	free  []int32
+}
+
+type modelEvent struct {
+	at   Time
+	seq  uint64
+	id   int
+	slot int32
+}
+
+func (m *schedModel) at(at Time, id int) int32 {
+	var slot int32
+	if n := len(m.free); n > 0 {
+		slot = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		slot = int32(m.slots)
+		m.slots++
+	}
+	m.live = append(m.live, modelEvent{at: at, seq: m.seq, id: id, slot: slot})
+	m.seq++
+	return slot
+}
+
+func (m *schedModel) find(id int) int {
+	for i, e := range m.live {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *schedModel) remove(i int) modelEvent {
+	e := m.live[i]
+	m.live = append(m.live[:i], m.live[i+1:]...)
+	m.free = append(m.free, e.slot)
+	return e
+}
+
+func (m *schedModel) stop(id int) bool {
+	if i := m.find(id); i >= 0 {
+		m.remove(i)
+		return true
+	}
+	return false
+}
+
+func (m *schedModel) pop() (modelEvent, bool) {
+	if len(m.live) == 0 {
+		return modelEvent{}, false
+	}
+	best := 0
+	for i, e := range m.live {
+		if b := m.live[best]; e.at < b.at || e.at == b.at && e.seq < b.seq {
+			best = i
+		}
+	}
+	e := m.remove(best)
+	m.now = e.at
+	return e, true
+}
+
+// Property: handlers that act on the scheduler mid-event — scheduling none,
+// one or several events (some at the same instant), stopping other timers
+// (then scheduling, so a stopped slot is reused first), and reading
+// Pending, PoolStats and Timer.Pending — see exactly what a reference model
+// sees, and the scheduler pops the model's order with the model's clock,
+// slot assignment and pool counts after every step.
+func TestPropertyMidEventActionsMatchModel(t *testing.T) {
+	f := func(seed int64, nInit uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(1)
+		m := &schedModel{}
+		var timers []Timer
+		ok := true
+		check := func(what string) {
+			slots, free, pending := s.PoolStats()
+			if s.Pending() != len(m.live) || pending != len(m.live) || slots != m.slots || free != len(m.free) {
+				t.Logf("%s: Pending %d PoolStats (%d,%d,%d), model (%d,%d,%d)",
+					what, s.Pending(), slots, free, pending, m.slots, len(m.free), len(m.live))
+				ok = false
+			}
+			if len(timers) > 0 {
+				id := rng.Intn(len(timers))
+				if timers[id].Pending() != (m.find(id) >= 0) {
+					t.Logf("%s: timer %d Pending %v, model %v", what, id, timers[id].Pending(), m.find(id) >= 0)
+					ok = false
+				}
+			}
+		}
+		var fired int
+		var handler func(id int) func()
+		schedule := func(d time.Duration) {
+			id := len(timers)
+			tm := s.After(d, "p", handler(id))
+			if slot := m.at(s.Now()+d, id); tm.slot != slot {
+				t.Logf("event %d got slot %d, model %d", id, tm.slot, slot)
+				ok = false
+			}
+			timers = append(timers, tm)
+		}
+		delay := func() time.Duration {
+			switch rng.Intn(4) {
+			case 0:
+				return 0 // same instant: must run after the current event
+			case 1:
+				return time.Duration(rng.Intn(50)) * time.Microsecond
+			case 2:
+				return 20 * time.Microsecond
+			default:
+				return time.Duration(1+rng.Intn(1000)) * time.Millisecond
+			}
+		}
+		stopOne := func() {
+			if len(timers) == 0 {
+				return
+			}
+			id := rng.Intn(len(timers))
+			if got, want := timers[id].Stop(), m.stop(id); got != want {
+				t.Logf("Stop(%d) = %v, model %v", id, got, want)
+				ok = false
+			}
+		}
+		handler = func(id int) func() {
+			return func() {
+				fired = id
+				check("handler entry")
+				if len(timers) > 400 {
+					return // let the queue drain
+				}
+				for k := rng.Intn(5); k > 0; k-- {
+					switch rng.Intn(4) {
+					case 0, 1:
+						schedule(delay())
+					case 2:
+						stopOne()
+					default:
+						stopOne()
+						schedule(delay())
+					}
+					check("handler op")
+				}
+			}
+		}
+		for i := 0; i < int(nInit%32)+1; i++ {
+			schedule(delay())
+		}
+		check("initial")
+		for ok {
+			want, more := m.pop()
+			if s.Step() != more {
+				t.Logf("Step reported %v, model has more=%v", !more, more)
+				return false
+			}
+			if !more {
+				break
+			}
+			if fired != want.id || s.Now() != want.at || m.now != want.at {
+				t.Logf("fired %d at %v, model %d at %v", fired, s.Now(), want.id, want.at)
+				return false
+			}
+			check("after step")
+			if rng.Intn(8) == 0 {
+				schedule(delay()) // between steps, outside any handler
+				check("outside op")
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A wall-budget panic fires before the handler runs and leaves the queue
+// exact: the fired event is gone, every other event is still pending, and
+// the run can resume.
+func TestWallBudgetLeavesPendingExact(t *testing.T) {
+	s := NewScheduler(1)
+	const n = 5000
+	ran := 0
+	for i := 0; i < n; i++ {
+		s.After(time.Duration(i)*time.Microsecond, "x", func() { ran++ })
+	}
+	s.SetWallBudget(time.Nanosecond)
+	func() {
+		defer func() {
+			if _, ok := recover().(*WallBudgetError); !ok {
+				t.Fatal("1 ns wall budget did not raise a *WallBudgetError")
+			}
+		}()
+		s.Run()
+	}()
+	if ran != 4095 || s.EventsRun() != 4096 {
+		t.Fatalf("ran %d handlers over %d events before the budget fired, want 4095 over 4096", ran, s.EventsRun())
+	}
+	slots, free, pending := s.PoolStats()
+	if s.Pending() != n-4096 || pending != n-4096 || slots != n || free != 4096 {
+		t.Fatalf("after the budget: Pending %d, PoolStats (%d,%d,%d), want %d and (%d,4096,%d)",
+			s.Pending(), slots, free, pending, n-4096, n, n-4096)
+	}
+	s.SetWallBudget(0)
+	s.Run()
+	if ran != n-1 || s.Pending() != 0 {
+		t.Fatalf("resumed run: %d handlers ran, %d pending; want %d and 0", ran, s.Pending(), n-1)
+	}
 }
 
 // Property: interleaving schedules and cancellations at random always pops
@@ -432,5 +665,25 @@ func BenchmarkSchedulerStopChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tm := s.After(time.Microsecond, "bench", fn)
 		tm.Stop()
+	}
+}
+
+// BenchmarkSchedulerRearm is shaped like a DCF backoff: about 100 long
+// timers stay pending (TCP retransmission and flow timers) while a handler
+// re-arms itself one 20 µs slot ahead, so every op fires the root and
+// schedules its successor.
+func BenchmarkSchedulerRearm(b *testing.B) {
+	s := NewScheduler(1)
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		s.After(time.Duration(i+1)*time.Hour, "long", fn)
+	}
+	var rearm func()
+	rearm = func() { s.After(20*time.Microsecond, "rearm", rearm) }
+	s.After(0, "rearm", rearm)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
